@@ -81,9 +81,10 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.lease_s <= 0 or self.heartbeat_s <= 0:
+        # written so a NaN interval fails too
+        if not (self.lease_s > 0 and self.heartbeat_s > 0):
             raise ValueError("lease_s and heartbeat_s must be positive")
-        if self.heartbeat_s >= self.lease_s:
+        if not self.heartbeat_s < self.lease_s:
             raise ValueError("heartbeat_s must be shorter than lease_s "
                              "(a live worker must renew before expiry)")
         if self.max_task_attempts < 1:

@@ -1,33 +1,11 @@
-"""Optional-numpy selection, decided once at import time.
+"""Whether numpy is installed, found without importing it.
 
-numpy is an *accelerator* in this tree, never a requirement: every
-vectorized path (mode-E range arithmetic, scheduler cohort math,
-workload synthesis) has a pure-Python fallback that is behaviourally
-identical where determinism is gated (fingerprints, queue-wait
-percentiles) and statistically equivalent where it is not (workload
-jitter).  This module makes the numpy-or-not decision exactly once so
-every consumer gates on the same answer, and the no-numpy CI leg can
-force the fallback with ``REPRO_NO_NUMPY=1`` without uninstall tricks
-in local runs.
+Nothing in :mod:`repro` uses numpy; this flag only lets benchmark
+environment stamps record whether the package is present.
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
 
-
-def _detect_numpy():
-    if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        return None
-    return numpy
-
-
-#: the numpy module when available and not disabled, else None
-np = _detect_numpy()
-HAS_NUMPY = np is not None
-#: "numpy" or "python" — stamped into bench results and profile reports
-VECTOR_BACKEND = "numpy" if HAS_NUMPY else "python"
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None

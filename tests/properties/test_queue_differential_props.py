@@ -1,8 +1,8 @@
 """Differential property test: heap-indexed queue vs the linear-scan spec.
 
 The heap-indexed :class:`FairShareQueue` exists only as a faster index
-over exactly the dispatch order the retained
-:class:`LinearScanFairShareQueue` scan defines.  This test drives both
+over exactly the dispatch order the :class:`LinearScanFairShareQueue`
+oracle below defines.  This test drives both
 implementations through identical random interleavings of every
 key-changing operation — push, pop (with and without admissibility
 filters), charge, requeue, set_weight — and requires the pop sequences
@@ -13,11 +13,35 @@ never in the reference.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduler.queue import (
-    FairShareQueue,
-    LinearScanFairShareQueue,
-    ScheduledTask,
-)
+from repro.scheduler.queue import FairShareQueue, ScheduledTask
+
+
+class LinearScanFairShareQueue(FairShareQueue):
+    """The pre-heap O(U log U) dispatch scan (the executable spec).
+
+    Selection semantics are defined by this scan: minimum
+    ``(band, vtime, head_seq)`` over every lane with an admissible head,
+    lanes visited in sorted user order.  Any divergence in pop sequence
+    is a bug in the heap index, never in this reference.
+    """
+
+    def pop_next(self, admissible=None):
+        best = None
+        best_lane = None
+        for user in sorted(self._lanes):
+            lane = self._lanes[user]
+            if not lane.fifo:
+                continue
+            head = lane.fifo[0]
+            if admissible is not None and not admissible(head):
+                continue
+            key = (-head.priority, lane.vtime, head.seq)
+            if best is None or key < best:
+                best = key
+                best_lane = lane
+        if best_lane is None:
+            return None
+        return self._claim(best_lane)
 
 _USERS = ("alice", "bob", "carol", "dave")
 

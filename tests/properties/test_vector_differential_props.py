@@ -1,24 +1,19 @@
-"""Scalar-vs-vectorized differential harness (Hypothesis).
+"""Differential properties: hot-path algorithms vs executable specs.
 
-The PR-5 pattern, applied to the vectorized core: every array-backed /
-numpy hot path keeps its original scalar implementation as an executable
-specification, and these properties drain randomized workloads through
-both sides demanding *identical* results — firing order, observed clock,
-plan geometry, delivered ranges.  The CI matrix runs this file twice,
-with numpy present and with ``REPRO_NO_NUMPY=1``, so the pure-Python
-fallback is held to the same spec as the accelerated path.
+Each fast implementation in ``src/`` is drained against a deliberately
+naive oracle kept here, over random inputs, demanding *identical*
+results — firing order, observed clock, event counts, plan geometry.
 
 Covered pairs:
 
-* :class:`repro.sim.events.Scheduler` (array-backed, run-batched) vs
-  :class:`repro.sim.events.ScalarScheduler` (heap of dataclasses) —
-  random schedules with same-timestamp collisions, cancellations,
-  same-instant insertions from callbacks, and reentrant ``fire_due``.
-* :func:`repro.gridftp.mode_e.plan_blocks` vs
-  :func:`repro.gridftp.mode_e.plan_blocks_scalar` — random sizes, block
-  sizes, and restart range sets.
-* ``ModeEPlan._delivered_prefix_vector`` vs the scalar budget walk —
-  random multi-range restart plans under random byte budgets.
+* :class:`repro.sim.events.Scheduler` (heap of ``(time, seq, event)``
+  tuples) vs :class:`_ListScanEvents` (a plain list, scanned for the
+  minimum on every firing) — random schedules with same-timestamp
+  collisions, cancellations, insertions and cancels from inside
+  callbacks, and reentrant ``fire_due``.
+* :func:`repro.gridftp.mode_e.plan_blocks` vs :func:`_plan_blocks_loop`
+  (one loop iteration per block) — random sizes, block sizes, and
+  restart range sets.
 """
 
 from __future__ import annotations
@@ -28,16 +23,69 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridftp.mode_e import ModeEPlan, plan_blocks, plan_blocks_scalar
-from repro.util.ranges import ByteRangeSet
+from repro.errors import ProtocolError
+from repro.gridftp.mode_e import plan_blocks
 from repro.sim.clock import Clock
-from repro.sim.events import ScalarScheduler, Scheduler
-from repro.util.vector import HAS_NUMPY
+from repro.sim.events import Scheduler
+from repro.util.ranges import ByteRangeSet
 
 # -- event engine ----------------------------------------------------------
 
-#: a coarse delay grid so random schedules collide on timestamps — run
-#: batching only engages on same-time groups, so collisions are the point
+
+class _Record:
+    def __init__(self, time: float, seq: int, callback) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class _ListScanEvents:
+    """The event-engine spec: fire the minimum ``(time, seq)`` due record,
+    re-scanning the whole list after every callback."""
+
+    def __init__(self, clock: Clock) -> None:
+        self._clock = clock
+        self._records: list[_Record] = []
+        self._seq = itertools.count()
+
+    def at(self, time: float, callback) -> _Record:
+        if not time >= self._clock.now:
+            raise ValueError("cannot schedule in the past")
+        rec = _Record(time, next(self._seq), callback)
+        self._records.append(rec)
+        return rec
+
+    def after(self, delay: float, callback) -> _Record:
+        return self.at(self._clock.now + delay, callback)
+
+    def _live(self) -> list[_Record]:
+        return [r for r in self._records if not r.cancelled]
+
+    def fire_due(self) -> int:
+        fired = 0
+        while True:
+            due = [r for r in self._live() if r.time <= self._clock.now]
+            if not due:
+                return fired
+            rec = min(due, key=lambda r: (r.time, r.seq))
+            self._records.remove(rec)
+            fired += 1
+            rec.callback()
+
+    @property
+    def next_due(self) -> float | None:
+        live = self._live()
+        return min(r.time for r in live) if live else None
+
+    def pending(self) -> int:
+        return len(self._live())
+
+
+#: a coarse delay grid so random schedules collide on timestamps
 _DELAYS = st.sampled_from([0.0, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0])
 
 _OPS = st.lists(
@@ -59,7 +107,13 @@ class _Driver:
         self.engine = engine_cls(self.clock)
         self.log: list[tuple[object, float]] = []
         self.handles: list = []
+        #: sum of every fire_due return value, nested calls included
+        self.reported = 0
         self._keys = itertools.count()
+
+    def _fire(self) -> None:
+        fired = self.engine.fire_due()  # before reading: calls may nest
+        self.reported += fired
 
     def _nested(self, key: int):
         def cb() -> None:
@@ -70,7 +124,7 @@ class _Driver:
         def cb() -> None:
             self.log.append((key, self.clock.now))
             if behavior == 1:
-                # same-instant insertion: must fire after the current run
+                # same-instant insertion: fires after every earlier seq
                 self.handles.append(
                     self.engine.at(self.clock.now, self._nested(key)))
             elif behavior == 2:
@@ -78,12 +132,12 @@ class _Driver:
                     self.engine.after(0.5, self._nested(key)))
             elif behavior == 3 and self.handles:
                 # cancel a deterministic victim — possibly an unfired
-                # same-timestamp sibling of this very run
+                # same-timestamp sibling
                 self.handles[key % len(self.handles)].cancel()
             elif behavior == 4:
                 # reentrant drain: advance mid-callback and fire again
                 self.clock.advance(0.25)
-                self.engine.fire_due()
+                self._fire()
         return cb
 
     def run(self, ops) -> None:
@@ -99,36 +153,55 @@ class _Driver:
             else:  # fire
                 next(self._keys)
                 self.clock.advance(arg)
-                self.engine.fire_due()
+                self._fire()
         # final drain: jump past everything still pending
         self.clock.advance(1e6)
-        self.engine.fire_due()
+        self._fire()
 
 
 @settings(max_examples=200, deadline=None)
 @given(_OPS)
 def test_event_engines_drain_identically(ops):
-    vector = _Driver(Scheduler)
-    scalar = _Driver(ScalarScheduler)
-    vector.run(ops)
-    scalar.run(ops)
-    assert vector.log == scalar.log
-    assert vector.engine.pending() == scalar.engine.pending()
-    assert vector.engine.next_due == scalar.engine.next_due
-    assert vector.clock.now == scalar.clock.now
+    engine = _Driver(Scheduler)
+    oracle = _Driver(_ListScanEvents)
+    engine.run(ops)
+    oracle.run(ops)
+    assert engine.log == oracle.log
+    assert engine.reported == oracle.reported == len(oracle.log)
+    assert engine.engine.pending() == oracle.engine.pending()
+    assert engine.engine.next_due == oracle.engine.next_due
+    assert engine.clock.now == oracle.clock.now
 
 
 @settings(max_examples=50, deadline=None)
 @given(_OPS)
-def test_batch_stats_account_for_every_firing(ops):
+def test_event_stats_count_every_firing(ops):
     d = _Driver(Scheduler)
     d.run(ops)
-    stats = d.engine.stats
-    assert stats.total_events == len(d.log)
-    assert sum(stats.run_histogram().values()) == stats.runs
+    assert d.engine.stats.total_events == len(d.log) == d.reported
 
 
 # -- mode-E block planning -------------------------------------------------
+
+
+def _plan_blocks_loop(total_size: int, block_size: int,
+                      needed: ByteRangeSet | None) -> list[tuple[int, int]]:
+    """The planner spec: one loop iteration per block."""
+    if block_size <= 0:
+        raise ProtocolError("block size must be positive", code=501)
+    if needed is None:
+        spans = [(0, total_size)] if total_size > 0 else []
+    else:
+        spans = [(start, min(end, total_size)) for start, end in needed.ranges]
+    plan: list[tuple[int, int]] = []
+    for start, end in spans:
+        cursor = start
+        while cursor < end:
+            size = min(block_size, end - cursor)
+            plan.append((cursor, size))
+            cursor += size
+    return plan
+
 
 _SIZES = st.integers(min_value=0, max_value=4 << 20)
 _BLOCKS = st.sampled_from([1, 7, 512, 4096, 65536, 262144])
@@ -158,19 +231,4 @@ def test_plan_blocks_matches_scalar_spec(data):
     block = data.draw(_BLOCKS)
     needed = data.draw(_restart_ranges(total))
     assert plan_blocks(total, block, needed) == \
-        plan_blocks_scalar(total, block, needed)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_delivered_prefix_vector_matches_scalar_walk(data):
-    total = data.draw(st.integers(min_value=1, max_value=4 << 20))
-    block = data.draw(_BLOCKS)
-    needed = data.draw(_restart_ranges(total))
-    plan = ModeEPlan.plan(total, block, needed)
-    limit = data.draw(st.integers(0, plan.total_bytes + block))
-    scalar = plan._delivered_prefix_scalar(limit)
-    assert plan.delivered_prefix(limit).ranges == scalar.ranges
-    if HAS_NUMPY and plan.ranges:
-        vector = plan._delivered_prefix_vector(limit)
-        assert vector.ranges == scalar.ranges
+        _plan_blocks_loop(total, block, needed)

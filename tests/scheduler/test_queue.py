@@ -125,6 +125,8 @@ def test_weight_must_be_positive():
     q = FairShareQueue()
     with pytest.raises(ValueError):
         q.set_weight("alice", 0.0)
+    with pytest.raises(ValueError):
+        q.set_weight("alice", float("nan"))
 
 
 def test_fair_share_error_zero_when_balanced():

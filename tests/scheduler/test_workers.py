@@ -186,6 +186,13 @@ def test_config_validation():
         SchedulerConfig(max_task_attempts=0)
 
 
+@pytest.mark.parametrize("field", ["heartbeat_s", "lease_s"])
+def test_config_rejects_nan_intervals(field):
+    # a NaN heartbeat used to pass validation and hang the next advance
+    with pytest.raises(ValueError):
+        SchedulerConfig(**{field: float("nan")})
+
+
 # -- observability wiring --------------------------------------------------
 
 

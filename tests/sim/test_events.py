@@ -77,3 +77,31 @@ def test_next_due_and_pending():
     a.cancel()
     assert sched.next_due == 7.0
     assert sched.pending() == 1
+
+
+def test_nan_time_rejected():
+    clock, sched = make()
+    with pytest.raises(ValueError):
+        sched.at(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        sched.after(float("nan"), lambda: None)
+    assert sched.pending() == 0
+
+
+def test_nan_repeat_interval_rejected():
+    clock, sched = make()
+    with pytest.raises(ValueError):
+        sched.every(float("nan"), lambda: None)
+    assert sched.pending() == 0
+
+
+def test_nan_schedule_cannot_hang_world_advance():
+    from repro.sim.world import World
+
+    world = World(seed=1)
+    fired = []
+    with pytest.raises(ValueError):
+        world.scheduler.at(float("nan"), lambda: fired.append(1))
+    world.advance(1.0)
+    assert fired == [] and world.now == 1.0
+
