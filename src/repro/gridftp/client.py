@@ -524,23 +524,16 @@ class ClientSession:
         # against *our* trust roots (the client half of mutual auth).
         if not reply.text.startswith("ADAT="):
             raise AuthenticationError(f"unexpected AUTH reply: {reply}")
-        chain = _parse_cert_chain(b64decode_str(reply.text[len("ADAT=") :]))
         try:
+            chain = _parse_cert_chain(b64decode_str(reply.text[len("ADAT=") :]))
             validate_chain(chain, client.trust, self.world.now)
         except Exception as exc:
-            raise AuthenticationError(
-                f"client rejected server certificate {chain[0].subject}: {exc}"
-            ) from exc
+            raise AuthenticationError(f"client rejected server certificate: {exc}") from exc
         # delegate a proxy to the server and present it
         delegated = delegate_credential(
             client.credential, self.world.clock, self.world.rng.python("delegation")
         )
-        # the b64 blob is a pure function of the (immutable) credential;
-        # replayed delegations present the identical blob without re-encoding
-        blob = delegated.__dict__.get("_adat_blob")
-        if blob is None:
-            blob = b64encode_str(delegated.to_pem(include_key=True).encode("ascii"))
-            object.__setattr__(delegated, "_adat_blob", blob)
+        blob = b64encode_str(delegated.to_pem(include_key=True).encode("ascii"))
         user_arg = username if username is not None else ":globus-mapping:"
         try:
             self.command(f"ADAT {blob}")
@@ -882,24 +875,12 @@ class ClientSession:
         return results
 
 
-#: parsed server AUTH banners — every session to one server presents the
-#: same chain bytes, and certificates are immutable, so re-parsing is
-#: indistinguishable from replaying (bounded; keys are the raw PEM bytes)
-_CHAIN_MEMO: dict[bytes, tuple[Certificate, ...]] = {}
-_CHAIN_MEMO_MAX = 1024
-
-
 def _parse_cert_chain(pem_bytes: bytes) -> list[Certificate]:
     """Certificates from concatenated PEM (server AUTH reply)."""
-    chain = _CHAIN_MEMO.get(pem_bytes)
-    if chain is None:
-        text = pem_bytes.decode("ascii", errors="replace")
-        chain = tuple(Certificate.from_der(der)
-                      for label, der in pem_decode_all(text)
-                      if label == "CERTIFICATE")
-        if len(_CHAIN_MEMO) < _CHAIN_MEMO_MAX:
-            _CHAIN_MEMO[pem_bytes] = chain
-    return list(chain)
+    text = pem_bytes.decode("ascii", errors="replace")
+    return [Certificate.from_der(der)
+            for label, der in pem_decode_all(text)
+            if label == "CERTIFICATE"]
 
 
 def globus_url_copy(

@@ -86,26 +86,13 @@ _register("ESTO", True, feature="ESTO", help="Extended store (partial file)")
 _register("DCSC", True, feature="DCSC", help="Data channel security context")
 
 
-#: parsed-line memo — control channels repeat a small vocabulary of
-#: lines ("PASV", "TYPE I", "MODE E", ...) thousands of times per drain;
-#: Command is frozen, so sharing instances is observationally identical
-_PARSE_MEMO: dict[str, Command] = {}
-_PARSE_MEMO_MAX = 4096
-
-
 def parse_command(line: str) -> Command:
     """Split a raw line into verb + argument (verb upper-cased)."""
-    cmd = _PARSE_MEMO.get(line)
-    if cmd is not None:
-        return cmd
     stripped = line.strip()
     if not stripped:
         raise ProtocolError("empty command line", code=500)
     verb, _, arg = stripped.partition(" ")
-    cmd = Command(verb=verb.upper(), arg=arg.strip())
-    if len(_PARSE_MEMO) < _PARSE_MEMO_MAX:
-        _PARSE_MEMO[line] = cmd
-    return cmd
+    return Command(verb=verb.upper(), arg=arg.strip())
 
 
 def lookup(verb: str) -> CommandSpec | None:
@@ -116,18 +103,12 @@ def lookup(verb: str) -> CommandSpec | None:
     return _REGISTRY.get(verb.upper())
 
 
-_FEATURE_MEMO: dict[bool, list[str]] = {}
-
-
 def feature_labels(dcsc_enabled: bool = True) -> list[str]:
     """The FEAT response body for a server."""
-    labels = _FEATURE_MEMO.get(dcsc_enabled)
-    if labels is None:
-        labels = sorted({spec.feature for spec in _REGISTRY.values() if spec.feature})
-        if not dcsc_enabled:
-            labels.remove("DCSC")
-        _FEATURE_MEMO[dcsc_enabled] = labels
-    return list(labels)
+    labels = sorted({spec.feature for spec in _REGISTRY.values() if spec.feature})
+    if not dcsc_enabled:
+        labels.remove("DCSC")
+    return labels
 
 
 def known_verbs() -> list[str]:

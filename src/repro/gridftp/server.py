@@ -26,13 +26,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.gridftp import replies as R
-from repro.gridftp.commands import (
-    _PARSE_MEMO,
-    feature_labels,
-    known_verbs,
-    lookup,
-    parse_command,
-)
+from repro.gridftp.commands import feature_labels, known_verbs, lookup, parse_command
 from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
 from repro.gridftp.dcsc import DcscContext, decode_dcsc_blob
 from repro.gridftp.restart import ByteRangeSet, parse_restart_marker
@@ -220,14 +214,10 @@ class GridFTPSession(ServerSession):
         """Process one command line; return reply lines."""
         if self.closed:
             return [str(R.SERVICE_UNAVAILABLE)]
-        # inlined parse memo: the hit path is pure dict lookup, and every
-        # drain command pays it (the function call was measurable)
-        cmd = _PARSE_MEMO.get(line)
-        if cmd is None:
-            try:
-                cmd = parse_command(line)
-            except ProtocolError:
-                return [str(R.UNRECOGNIZED)]
+        try:
+            cmd = parse_command(line)
+        except ProtocolError:
+            return [str(R.UNRECOGNIZED)]
         spec = lookup(cmd.verb)
         world = self.world
         server_name = self.server.name
@@ -297,29 +287,15 @@ class GridFTPSession(ServerSession):
             return ["504 Unknown security mechanism."]
         self.auth_pending = True
         # present the server's certificate chain (never the key) so the
-        # client can authenticate *us* — the mutual half of GSI.  The
-        # banner is a pure function of the credential, so it is built
-        # once and replayed until the server is re-credentialed.
-        server = self.server
-        memo = server.__dict__.get("_auth_banner")
-        if memo is None or memo[0] is not server.credential:
-            chain_pem = "".join(c.to_pem() for c in server.credential.chain)
-            memo = (server.credential,
-                    f"334 ADAT={b64encode_str(chain_pem.encode('ascii'))}")
-            server._auth_banner = memo
-        return [memo[1]]
+        # client can authenticate *us* — the mutual half of GSI.
+        chain_pem = "".join(c.to_pem() for c in self.server.credential.chain)
+        return [f"334 ADAT={b64encode_str(chain_pem.encode('ascii'))}"]
 
     def _cmd_adat(self, arg: str) -> list[str]:
         if not self.auth_pending:
             return ["503 Bad sequence of commands: send AUTH first."]
         try:
-            # decode memo: clients replaying a cached delegation present
-            # the identical blob on every login (pure decode, bounded)
-            pem = _ADAT_DECODE.get(arg)
-            if pem is None:
-                pem = b64decode_str(arg).decode("ascii", errors="replace")
-                if len(_ADAT_DECODE) < 512:
-                    _ADAT_DECODE[arg] = pem
+            pem = b64decode_str(arg).decode("ascii", errors="replace")
             credential = Credential.from_pem(pem)
             self.peer = validate_chain(credential.chain, self.server.trust, self.world.now)
         except (ProtocolError, CertificateError) as exc:
@@ -571,16 +547,10 @@ class GridFTPSession(ServerSession):
         return [f"213 {digest}"]
 
     def _cmd_feat(self, arg: str) -> list[str]:
-        # the FEAT body is a pure function of dcsc_enabled; build it once
-        # per flavour and hand out copies (clients probe FEAT per job)
-        dcsc_enabled = self.server.dcsc_enabled
-        lines = _FEAT_REPLY.get(dcsc_enabled)
-        if lines is None:
-            lines = [f"{R.FEATURES_FOLLOW.code}-{R.FEATURES_FOLLOW.text}"]
-            lines.extend(f" {label}" for label in feature_labels(dcsc_enabled))
-            lines.append("211 End")
-            _FEAT_REPLY[dcsc_enabled] = lines
-        return list(lines)
+        lines = [f"{R.FEATURES_FOLLOW.code}-{R.FEATURES_FOLLOW.text}"]
+        lines.extend(f" {label}" for label in feature_labels(self.server.dcsc_enabled))
+        lines.append("211 End")
+        return lines
 
     def _cmd_noop(self, arg: str) -> list[str]:
         return [str(R.COMMAND_OK)]
@@ -724,9 +694,3 @@ _HANDLERS = {
     for verb in known_verbs()
     if hasattr(GridFTPSession, "_cmd_" + verb.lower())
 }
-
-#: ADAT blob -> decoded PEM text (see GridFTPSession._cmd_adat)
-_ADAT_DECODE: dict[str, str] = {}
-
-#: dcsc_enabled -> built FEAT reply lines (see GridFTPSession._cmd_feat)
-_FEAT_REPLY: dict[bool, list[str]] = {}

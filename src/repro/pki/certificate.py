@@ -198,16 +198,8 @@ class Certificate:
 
 
 def keypair_to_pem(key: KeyPair) -> str:
-    """PEM-frame a private key (used in the DCSC P blob).
-
-    Memoized on the key instance: delegation re-serializes the same
-    (memoized) session keys on every login.
-    """
-    cached = key.__dict__.get("_pem_memo")
-    if cached is None:
-        cached = pem_encode(PEM_KEY_LABEL, canonical_json(key.to_dict()))
-        object.__setattr__(key, "_pem_memo", cached)
-    return cached
+    """PEM-frame a private key (used in the DCSC P blob)."""
+    return pem_encode(PEM_KEY_LABEL, canonical_json(key.to_dict()))
 
 
 def keypair_from_pem(text: str) -> KeyPair:

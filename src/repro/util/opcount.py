@@ -2,12 +2,20 @@
 
 Wall-clock benchmarks are machine-dependent; the *number* of RSA
 exponentiations, chain walks, and GSI handshakes a scenario performs is
-not — every stream in the simulation is seeded, so the same (seed,
-scenario) pair executes the identical operation sequence on any machine
-or Python version.  The session-layer caches (GSI session resumption,
-the control-channel pool, DCAU caching) exist precisely to shrink these
-counts, and ``bench_scheduler_fleet --crypto-ops`` gates them in CI:
-counts above the committed baseline mean a cache stopped hitting.
+not — every stream in the simulation is seeded, so one scenario run in
+a fresh process executes the identical operation sequence on any
+machine or Python version.  The session-layer caches (GSI session
+resumption, the control-channel pool, DCAU caching) exist precisely to
+shrink these counts, and ``bench_scheduler_fleet --crypto-ops`` gates
+them in CI: counts above the committed baseline mean a cache stopped
+hitting.
+
+The tallies are exact per fresh process, not per (seed, scenario): the
+process-global memos (keygen, certificate parse, credential round trip)
+outlive a world and partly serve a second one.  The go_storm benchmark
+workload run twice in one process reads ``rsa.keygen.full`` 105 then 0
+and ``rsa.verify`` 202 then 200.  So every exact gate measures one
+scenario in a fresh process.
 
 Counters are process-global, like the memo layers they observe.  Bump
 sites pay one ``Counter.__iadd__`` — noise next to a 512-bit ``pow``.

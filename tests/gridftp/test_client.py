@@ -3,11 +3,13 @@
 import pytest
 
 from repro.errors import AuthenticationError, ProtocolError, TransferError
+from repro.gridftp import server as server_module
 from repro.gridftp.client import GridFTPClient, GridFTPUrl, globus_url_copy
 from repro.gridftp.restart import ByteRangeSet
 from repro.gridftp.transfer import TransferOptions
 from repro.pki.validation import TrustStore
 from repro.storage.data import LiteralData
+from repro.util.encoding import b64encode_str, pem_encode
 from repro.util.units import MB
 
 
@@ -66,6 +68,26 @@ def test_client_rejects_untrusted_server(simple_pair):
         credential=site.proxy_for(world, "alice"),
         trust=TrustStore(),  # empty: trusts nobody
     )
+    with pytest.raises(AuthenticationError, match="rejected server certificate"):
+        client.connect(site.server)
+
+
+@pytest.mark.parametrize(
+    "chain_text",
+    [
+        "not a certificate",  # no CERTIFICATE block at all
+        pem_encode("CERTIFICATE", b"{not json"),  # body is not canonical JSON
+        pem_encode("CERTIFICATE", b'{"subject": 1}'),  # JSON, but not a certificate
+        "-----BEGIN CERTIFICATE-----\nAAAA\n",  # unterminated block
+    ],
+    ids=["no-certificate", "bad-json", "bad-dict", "unterminated"],
+)
+def test_login_rejects_bad_auth_banner(simple_pair, monkeypatch, chain_text):
+    """A server whose 334 carries no usable chain fails mutual auth cleanly."""
+    world, site, laptop = simple_pair
+    banner = f"334 ADAT={b64encode_str(chain_text.encode('ascii'))}"
+    monkeypatch.setitem(server_module._HANDLERS, "AUTH", lambda session, arg: [banner])
+    client = site.client_for(world, "alice", laptop)
     with pytest.raises(AuthenticationError, match="rejected server certificate"):
         client.connect(site.server)
 

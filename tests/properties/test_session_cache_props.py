@@ -1,12 +1,16 @@
 """Differential property: session caches change no virtual outcome.
 
-The GSI resumption cache, the control-channel pool, and the DCAU /
-verify memos are wall-clock optimizations.  This test drives *twin
-worlds* — identical seed, identical randomized op sequence — once with
-every cache enabled and once under ``REPRO_NO_SESSION_CACHE=1``, and
+The GSI resumption cache, the control-channel pool, and the DCAU cache
+are wall-clock optimizations.  This test drives *twin worlds* —
+identical seed, identical randomized op sequence — once with every
+session cache enabled and once under ``REPRO_NO_SESSION_CACHE=1``, and
 requires bit-identical virtual outcomes: the clock, the mapped account,
 and every byte a transfer moved.  Any divergence means a cache replayed
 state the full pipeline would not have produced.
+
+The toggle leaves the process-global memos (keygen, certificate parse,
+credential round trip) on in both twins;
+``tests/integration/test_memo_replay.py`` covers those.
 """
 
 import os

@@ -38,7 +38,8 @@ from repro.workloads.fleet import (  # noqa: E402
 def print_crypto_report(ops_before) -> None:
     """Crypto-op tallies for the profiled run (the CI gate's numbers).
 
-    Deterministic per (seed, scenario): the ``*.resumed`` / ``*.memo`` /
+    Deterministic for one (seed, scenario) in a fresh process (see
+    ``repro.util.opcount``): the ``*.resumed`` / ``*.memo`` /
     ``*.cached`` rows are work the session caches skipped; their
     ``*.full`` twins creeping up is a cache that stopped hitting.
     """
