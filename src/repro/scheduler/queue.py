@@ -165,10 +165,6 @@ class FairShareQueue:
         lane = self._lanes.get(user)
         return len(lane.fifo) if lane is not None else 0
 
-    def lane_count(self) -> int:
-        """Users with any lane state (active or historical)."""
-        return len(self._lanes)
-
     def push(self, task: ScheduledTask) -> ScheduledTask:
         """Enqueue a task (stamps its FIFO sequence number).
 

@@ -207,13 +207,9 @@ class FleetScheduler:
             "scheduler_workers_alive", "Workers whose hosts are currently up",
             labelnames=shard_labels)
         self._depth_g.set(0, **self._metric_shard)
+        # the fair-share error is an O(active users) scan, so it is a
+        # drain-exit value: run_until_idle computes it once on exit
         self._fair_error_g.set(0, **self._metric_shard)
-        # the fair-share-error gauge costs O(active users) to recompute;
-        # refresh it every completion for small fleets but amortize to
-        # one full pass per ~lanes/64 completions at 100k-user scale
-        # (run_until_idle always leaves it freshly computed on exit)
-        self._fair_stride = 1
-        self._since_fair = 0
         self._workers_alive_g.set(self.config.workers, **self._metric_shard)
         self._wait_h = metrics.histogram(
             "scheduler_queue_wait_seconds",
@@ -484,12 +480,6 @@ class FleetScheduler:
                                     **self._metric_shard)
             self.leases.release(lease)
             self.admission.on_finish(task, service_s)
-            self._since_fair += 1
-            if self._since_fair >= self._fair_stride:
-                self._since_fair = 0
-                self._fair_error_g.set(self.queue.fair_share_error(),
-                                       **self._metric_shard)
-                self._fair_stride = max(1, self.queue.lane_count() // 64)
 
     def _sweep_heartbeats(self) -> None:
         """Renew every live claim in one pass (the coalesced heartbeat).

@@ -35,6 +35,7 @@ renders byte-identical to before.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -58,11 +59,14 @@ class Sample:
 
 
 def _freeze_labels(labelnames: tuple[str, ...], labels: dict[str, Any]) -> tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise MetricError(
-            f"expected labels {labelnames}, got {tuple(sorted(labels))}"
-        )
-    return tuple(str(labels[name]) for name in labelnames)
+    # a missing or misnamed label fails the lookup, an extra one the length check
+    try:
+        key = tuple([str(labels[name]) for name in labelnames])
+        if len(key) == len(labels):
+            return key
+    except KeyError:
+        pass
+    raise MetricError(f"expected labels {labelnames}, got {tuple(sorted(labels))}")
 
 
 @dataclass(frozen=True)
@@ -138,38 +142,24 @@ class CounterChild:
         self._name = counter.name
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the bound series."""
-        if amount < 0:
-            raise MetricError(f"counter {self._name} cannot decrease")
+        """Add ``amount`` (must be >= 0, not NaN) to the bound series."""
+        if not amount >= 0:
+            raise MetricError(f"counter {self._name} cannot add {amount}")
         self._values[self._key] = self._values.get(self._key, 0.0) + amount
 
 
 class HistogramChild:
     """A histogram bound to one labelset: ``observe`` with no freezing."""
 
-    __slots__ = ("_histogram", "_key", "_counts")
+    __slots__ = ("_histogram", "_key")
 
     def __init__(self, histogram: "Histogram", key: tuple[str, ...]) -> None:
         self._histogram = histogram
         self._key = key
-        self._counts = histogram._counts.setdefault(
-            key, [0] * (len(histogram.buckets) + 1)
-        )
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
         """Record one observation on the bound series."""
-        h, key = self._histogram, self._key
-        for i, bound in enumerate(h.buckets):
-            if value <= bound:
-                self._counts[i] += 1
-                break
-        else:
-            i = len(h.buckets)
-            self._counts[-1] += 1
-        h._sums[key] = h._sums.get(key, 0.0) + value
-        h._totals[key] = h._totals.get(key, 0) + 1
-        if exemplar is not None:
-            h._exemplars.setdefault(key, {})[i] = Exemplar(exemplar, value)
+        self._histogram._record(self._key, value, exemplar)
 
 
 class Counter(_Metric):
@@ -186,9 +176,9 @@ class Counter(_Metric):
         return CounterChild(self, self._key(labels))
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        """Add ``amount`` (must be >= 0) to one labelled series."""
-        if amount < 0:
-            raise MetricError(f"counter {self.name} cannot decrease")
+        """Add ``amount`` (must be >= 0, not NaN) to one labelled series."""
+        if not amount >= 0:
+            raise MetricError(f"counter {self.name} cannot add {amount}")
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -215,28 +205,27 @@ class Counter(_Metric):
 
 class GaugeChild:
     """A gauge bound to one labelset: ``set``/``inc``/``dec`` without
-    label freezing (same high-water bookkeeping as the parent)."""
+    label freezing (same store and high-water rule as the parent)."""
 
-    __slots__ = ("_values", "_high_water", "_key")
+    __slots__ = ("_gauge", "_key")
 
     def __init__(self, gauge: "Gauge", key: tuple[str, ...]) -> None:
-        self._values = gauge._values
-        self._high_water = gauge._high_water
+        self._gauge = gauge
         self._key = key
 
     def set(self, value: float) -> None:
         """Set the bound series to ``value``."""
-        value = float(value)
-        self._values[self._key] = value
-        self._high_water[self._key] = max(self._high_water.get(self._key, value), value)
+        self._gauge._store(self._key, float(value))
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` to the bound series."""
-        self.set(self._values.get(self._key, 0.0) + amount)
+        gauge, key = self._gauge, self._key
+        gauge._store(key, gauge._values.get(key, 0.0) + amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount`` from the bound series."""
-        self.inc(-amount)
+        gauge, key = self._gauge, self._key
+        gauge._store(key, gauge._values.get(key, 0.0) - amount)
 
 
 class Gauge(_Metric):
@@ -253,19 +242,26 @@ class Gauge(_Metric):
         """A bound child for one labelset (O(1) updates afterwards)."""
         return GaugeChild(self, self._key(labels))
 
+    def _store(self, key: tuple[str, ...], value: float) -> None:
+        # the one write path for parent and child: level plus high-water mark
+        self._values[key] = value
+        high = self._high_water.get(key)
+        if high is None or value > high:
+            self._high_water[key] = value
+
     def set(self, value: float, **labels: Any) -> None:
         """Set one labelled series to ``value``."""
-        key = self._key(labels)
-        self._values[key] = float(value)
-        self._high_water[key] = max(self._high_water.get(key, float(value)), float(value))
+        self._store(self._key(labels), float(value))
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` to one labelled series."""
-        self.set(self._values.get(self._key(labels), 0.0) + amount, **labels)
+        key = self._key(labels)
+        self._store(key, self._values.get(key, 0.0) + amount)
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         """Subtract ``amount`` from one labelled series."""
-        self.inc(-amount, **labels)
+        key = self._key(labels)
+        self._store(key, self._values.get(key, 0.0) - amount)
 
     def value(self, **labels: Any) -> float:
         """Current level for one labelled series (0 if never touched)."""
@@ -325,15 +321,17 @@ class Histogram(_Metric):
 
     def observe(self, value: float, exemplar: str | None = None, **labels: Any) -> None:
         """Record one observation (``exemplar`` is an optional trace id)."""
-        key = self._key(labels)
-        counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            i = len(self.buckets)
-            counts[-1] += 1
+        self._record(self._key(labels), value, exemplar)
+
+    def _record(self, key: tuple[str, ...], value: float, exemplar: str | None) -> None:
+        # the one observe path for parent and child; NaN compares false
+        # against every bound, so it lands in the +Inf overflow slot
+        buckets = self.buckets
+        i = bisect_left(buckets, value) if value == value else len(buckets)
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0] * (len(buckets) + 1)
+        counts[i] += 1
         self._sums[key] = self._sums.get(key, 0.0) + value
         self._totals[key] = self._totals.get(key, 0) + 1
         if exemplar is not None:

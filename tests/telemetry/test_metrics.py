@@ -156,3 +156,93 @@ def test_render_table_lists_every_series(registry):
 
 def test_empty_registry_renders_empty(registry):
     assert registry.render_prometheus() == ""
+
+
+def test_counter_rejects_nan_on_parent_and_child(registry):
+    c = registry.counter("nan_total", labelnames=("k",))
+    c.inc(2, k="x")
+    with pytest.raises(MetricError):
+        c.inc(float("nan"), k="x")
+    child = c.labels(k="x")
+    with pytest.raises(MetricError):
+        child.inc(float("nan"))
+    assert c.value(k="x") == 2
+
+
+# -- label validation ---------------------------------------------------------
+
+# (labelnames the metric declares, labels a call passes)
+_BAD_LABELS = [
+    pytest.param(("a", "b"), {"a": "1"}, id="missing"),
+    pytest.param(("a",), {"a": "1", "b": "2"}, id="extra"),
+    pytest.param(("a", "b"), {"a": "1", "c": "2"}, id="misnamed"),
+    pytest.param((), {"a": "1"}, id="on-unlabelled"),
+]
+
+
+def _label_calls(registry, labelnames):
+    c = registry.counter("v_total", labelnames=labelnames)
+    g = registry.gauge("v_level", labelnames=labelnames)
+    h = registry.histogram("v_seconds", buckets=(1.0,), labelnames=labelnames)
+    return [
+        lambda **kw: c.inc(**kw),
+        lambda **kw: g.set(1, **kw),
+        lambda **kw: g.inc(**kw),
+        lambda **kw: g.dec(**kw),
+        lambda **kw: h.observe(0.5, **kw),
+        c.labels, g.labels, h.labels,
+    ]
+
+
+@pytest.mark.parametrize("labelnames, labels", _BAD_LABELS)
+def test_every_update_path_rejects_a_bad_labelset(registry, labelnames, labels):
+    for call in _label_calls(registry, labelnames):
+        with pytest.raises(MetricError):
+            call(**labels)
+    assert registry.samples() == []
+
+
+def test_label_values_are_stringified(registry):
+    for call in _label_calls(registry, ("shard", "ok")):
+        call(shard=3, ok=True)
+    assert registry.counter("v_total", labelnames=("shard", "ok")).value(
+        shard="3", ok="True") == 1
+    keys = {s.labels for s in registry.samples()}
+    assert keys == {(("shard", "3"), ("ok", "True"))}
+
+
+# -- one store per instrument operation ----------------------------------------
+
+
+def test_gauge_child_and_parent_share_the_high_water_rule(registry):
+    g = registry.gauge("lvl", labelnames=("k",))
+    child = g.labels(k="x")
+    g.inc(3, k="x")
+    child.dec(2)
+    child.inc(5)
+    g.dec(4, k="x")
+    child.set(1.5)
+    assert g.value(k="x") == 1.5
+    assert g.high_water(k="x") == 6
+
+
+def test_histogram_nan_lands_in_inf_bucket_on_parent_and_child(registry):
+    h = registry.histogram("nan_seconds", buckets=(1.0, 5.0), labelnames=("k",))
+    h.observe(float("nan"), exemplar="t-parent", k="p")
+    h.labels(k="c").observe(float("nan"), exemplar="t-child")
+    for k in ("p", "c"):
+        counts = h.bucket_counts(k=k)
+        assert counts[1.0] == counts[5.0] == 0
+        assert counts[float("inf")] == 1
+        assert list(h.exemplars(k=k)) == [float("inf")]
+
+
+def test_histogram_child_and_parent_bucket_identically(registry):
+    h = registry.histogram("b_seconds", buckets=(1.0, 5.0), labelnames=("k",))
+    child = h.labels(k="c")
+    for v in (0.0, 1.0, 1.0001, 5.0, 7.0, -3.0, float("inf")):
+        h.observe(v, k="p")
+        child.observe(v)
+    assert h.bucket_counts(k="p") == h.bucket_counts(k="c") == {
+        1.0: 3, 5.0: 5, float("inf"): 7}
+    assert h.count(k="c") == 7
