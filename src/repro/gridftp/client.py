@@ -122,6 +122,10 @@ class ControlChannelPool:
     whatever the fresh world would have done — success or failure — with
     identical charges.  Entries are LRU-bounded; ``REPRO_NO_SESSION_CACHE``
     disables pooling entirely.
+
+    This pool is the only cache in front of GSI mutual authentication:
+    there is no GSI context resumption, so every miss walks both chains
+    (:meth:`ClientSession.login` and the server's ADAT handler).
     """
 
     MAX_ENTRIES = 256

@@ -1,36 +1,26 @@
-"""Grid Security Infrastructure: contexts, gridmaps, callouts, delegation.
+"""Grid Security Infrastructure: gridmaps, callouts, delegation.
 
-Implements the security handling of paper Section II.C: GSI mutual
-authentication on the control channel, the authorization callout that
-maps a certificate subject to a local user id, gridmap files (the error
-prone mechanism GCMU eliminates), and proxy delegation (what lets Globus
-Online act for the user).
+Implements the security handling of paper Section II.C: the
+authorization callout that maps a certificate subject to a local user
+id, gridmap files (the error prone mechanism GCMU eliminates), and
+proxy delegation (what lets Globus Online act for the user).  GSI
+mutual authentication itself runs on the wire: the client validates the
+server's chain at login and the server validates the client's in ADAT
+(:mod:`repro.gridftp`).
 """
 
-from repro.gsi.context import SecurityContext, establish_context
 from repro.gsi.credentials import CredentialStore
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.authz import AuthorizationCallout, GridmapCallout
 from repro.gsi.delegation import delegate_credential
-from repro.gsi.session_cache import (
-    ResumptionToken,
-    SessionCache,
-    caching_enabled,
-    default_session_cache,
-    reset_default_session_cache,
-)
+from repro.gsi.session_cache import caching_enabled, default_session_cache
 
 __all__ = [
-    "SecurityContext",
-    "establish_context",
     "CredentialStore",
     "Gridmap",
     "AuthorizationCallout",
     "GridmapCallout",
     "delegate_credential",
-    "ResumptionToken",
-    "SessionCache",
     "caching_enabled",
     "default_session_cache",
-    "reset_default_session_cache",
 ]

@@ -93,5 +93,8 @@ class Gridmap:
             if not users:
                 raise GridmapError(f"gridmap line has no usernames: {raw!r}")
             for user in users.split(","):
-                gm.add(dn, user.strip())
+                user = user.strip()
+                if not user:
+                    raise GridmapError(f"empty username in gridmap line: {raw!r}")
+                gm.add(dn, user)
         return gm

@@ -301,14 +301,6 @@ class FleetScheduler:
             sweep.cancel()
         self._fair_error_g.set(self.queue.fair_share_error(),
                                **self._metric_shard)
-        # surface how much of the drain's login traffic the control-channel
-        # pool absorbed (only when a pool saw any traffic this world)
-        pool = getattr(self.world, "_control_channel_pool", None)
-        if pool is not None and (pool.reuses or pool.misses):
-            self.world.metrics.gauge(
-                "scheduler_session_reuse_ratio",
-                "Fraction of control-channel logins served from the pool",
-            ).set(pool.reuses / (pool.reuses + pool.misses))
         return serviced
 
     def _flush_batches(self) -> None:

@@ -4,9 +4,9 @@ Wall-clock benchmarks are machine-dependent; the *number* of RSA
 exponentiations, chain walks, and GSI handshakes a scenario performs is
 not — every stream in the simulation is seeded, so one scenario run in
 a fresh process executes the identical operation sequence on any
-machine or Python version.  The session-layer caches (GSI session
-resumption, the control-channel pool, DCAU caching) exist precisely to
-shrink these counts, and ``bench_scheduler_fleet --crypto-ops`` gates
+machine or Python version.  The session-layer caches (the
+control-channel pool and the DCAU cache) exist precisely to shrink
+these counts, and ``bench_scheduler_fleet --crypto-ops`` gates
 them in CI: counts above the committed baseline mean a cache stopped
 hitting.
 

@@ -6,19 +6,21 @@ from repro.errors import QueueFullError, QuotaExceededError
 from repro.globusonline.service import GlobusOnline
 from repro.globusonline.transfer import JobStatus
 from repro.scheduler import SchedulerConfig, SchedulerLimits
+from repro.sim.world import World
 from repro.storage.data import SyntheticData
 from repro.util.units import HOUR, MB, gbps
 from tests.conftest import make_gcmu_site
 
 
-def build(world, scheduler_config=None):
+def build(world, scheduler_config=None, shards=None):
     net = world.network
     for h in ("dtn-a", "dtn-b", "saas"):
         net.add_host(h, nic_bps=gbps(10))
     net.add_link("dtn-a", "dtn-b", gbps(10), 0.04, loss=1e-5)
     net.add_link("saas", "dtn-a", gbps(1), 0.02)
     net.add_link("saas", "dtn-b", gbps(1), 0.02)
-    go = GlobusOnline(world, "saas", scheduler_config=scheduler_config)
+    go = GlobusOnline(world, "saas", scheduler_config=scheduler_config,
+                      shards=shards)
     ep_a = make_gcmu_site(world, "dtn-a", "alcf", {"alice": "pwA", "bob": "pwB"},
                           register_with=go, endpoint_name="alcf#dtn")
     ep_b = make_gcmu_site(world, "dtn-b", "nersc", {"asmith": "pwC"},
@@ -50,6 +52,23 @@ def test_deferred_submission_stays_queued_until_processed(world):
     go.process_queue()
     assert job.status is JobStatus.SUCCEEDED
     assert job.checksum_verified
+
+
+def test_sharded_and_unsharded_drains_register_the_same_scheduler_series():
+    def drained_series(shards):
+        world = World(seed=3)
+        go, ep_a, _ = build(world, shards=shards)
+        write_src(ep_a, "/home/alice/f.dat", 16 * MB)
+        user = activate(go)
+        for i in range(2):  # the second job can reuse a pooled channel
+            go.submit_transfer(user, "alcf#dtn", "/home/alice/f.dat",
+                               "nersc#dtn", f"/home/asmith/f{i}.dat", defer=True)
+        go.process_queue()
+        assert all(j.status is JobStatus.SUCCEEDED for j in go.jobs.values())
+        return {m.name for m in world.metrics if m.name.startswith("scheduler_")}
+
+    # work stealing, and so its counter, exists only between shards
+    assert drained_series(None) | {"scheduler_steals_total"} == drained_series(2)
 
 
 def test_synchronous_submission_unchanged(world):

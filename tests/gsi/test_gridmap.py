@@ -82,6 +82,9 @@ def test_parse_skips_comments_and_blanks():
         "/O=Grid/CN=x alice",  # missing quotes
         '"/O=Grid/CN=x alice',  # unterminated quote
         '"/O=Grid/CN=x"',  # no username
+        '"/O=X/CN=b" ,bob',  # empty default account
+        '"/O=X/CN=b" a, ,b',  # empty account between two names
+        '"/O=X/CN=b" a,',  # trailing comma
     ],
 )
 def test_parse_malformed_lines(bad):

@@ -1,9 +1,9 @@
 """Differential property: session caches change no virtual outcome.
 
-The GSI resumption cache, the control-channel pool, and the DCAU cache
-are wall-clock optimizations.  This test drives *twin worlds* —
-identical seed, identical randomized op sequence — once with every
-session cache enabled and once under ``REPRO_NO_SESSION_CACHE=1``, and
+The control-channel pool and the DCAU cache are wall-clock
+optimizations.  This test drives *twin worlds* — identical seed,
+identical randomized op sequence — once with both caches enabled and
+once under ``REPRO_NO_SESSION_CACHE=1``, and
 requires bit-identical virtual outcomes: the clock, the mapped account,
 and every byte a transfer moved.  Any divergence means a cache replayed
 state the full pipeline would not have produced.
@@ -18,7 +18,6 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gsi.session_cache import reset_default_session_cache
 from repro.sim.world import World
 from repro.storage.data import LiteralData
 from repro.util.units import gbps
@@ -46,7 +45,6 @@ def _run(seed: int, ops, *, cached: bool):
         os.environ.pop("REPRO_NO_SESSION_CACHE", None)
     else:
         os.environ["REPRO_NO_SESSION_CACHE"] = "1"
-    reset_default_session_cache()
     try:
         world = World(seed=seed)
         net = world.network
@@ -84,7 +82,6 @@ def _run(seed: int, ops, *, cached: bool):
         return world.now, tuple(mapped), tuple(moved)
     finally:
         os.environ.pop("REPRO_NO_SESSION_CACHE", None)
-        reset_default_session_cache()
 
 
 @settings(max_examples=40, deadline=None)

@@ -140,17 +140,19 @@ def render(world, scheduler=None, breaker=None, catalog=None,
 
     # session-layer caches: the wall-clock amortization tier (DESIGN.md
     # §17) — reuse ratios at a glance, invalidations proving the chaos /
-    # expiry rules are actually firing
-    from repro.gsi.session_cache import default_session_cache
-
+    # expiry rules are actually firing.  Both are read only if the world
+    # already built them.
     pool = getattr(world, "_control_channel_pool", None)
-    gsi = default_session_cache().stats()
-    rows = [["gsi resumption (process)", gsi["hits"], gsi["misses"],
-             gsi["expirations"], gsi["evictions"], gsi["tokens"]]]
+    engine = getattr(world, "_transfer_engine", None)
+    rows = []
     if pool is not None:
         ps = pool.stats()
-        rows.insert(0, ["control-channel pool", ps["reuses"], ps["misses"],
-                        ps["invalidations"], ps["evictions"], ps["pooled"]])
+        rows.append(["control-channel pool", ps["reuses"], ps["misses"],
+                     ps["invalidations"], ps["evictions"], ps["pooled"]])
+    if engine is not None:
+        ds = engine.dcau_cache.stats()
+        rows.append(["dcau cache", ds["hits"], ds["misses"], "-", "-",
+                     ds["entries"]])
     sections.append(render_table(
         "session caches (wall-clock only; REPRO_NO_SESSION_CACHE=1 disables)",
         ["layer", "hits", "misses", "invalidated", "evicted", "live"],
