@@ -13,26 +13,17 @@ the worker fleet), and reports:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py           # full run
-    PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py --quick   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py --quick \
-        --check BENCH_scheduler.json                                    # regression gate
+    PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py --quick   # 500 jobs
     PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py --quick \
         --overhead-check                                  # observability tax gate
 
-``BENCH_scheduler.json`` at the repo root is the committed full-run
-baseline and ``BENCH_scheduler_quick.json`` the quick-mode one (CI
-checks quick against quick so scenarios match).  ``--check`` fails on a
->30% jobs/sec regression, and — when the baseline scenario matches —
-on a >30% ``queue_wait_p99_s`` increase; that metric is deterministic
-virtual time, so any drift is a behaviour change (``BENCH_TOLERANCE``
-overrides the tolerance, a fraction).
-
-``--observability`` runs the same storm with the flight recorder and
-SLO engine attached (``World.enable_observability``).  ``--overhead-check``
-runs the scenario both ways, best-of-2 per mode, and fails if the
-instrumented run's jobs/sec falls more than ``OVERHEAD_TOLERANCE``
-(default 10%) below the bare run — the "observability is near-free"
-gate.
+``--out FILE`` saves the run's JSON report.  ``--observability`` runs
+the same storm with the flight recorder and SLO engine attached
+(``World.enable_observability``).  ``--overhead-check`` runs the
+scenario both ways, best-of-2 per mode, and fails if the instrumented
+run's jobs/sec falls more than ``OVERHEAD_TOLERANCE`` (default 10%)
+below the bare run — the "observability is near-free" gate.  It
+compares two runs on one machine, so it needs no committed baseline.
 
 Sharded control plane (DESIGN.md §14)::
 
@@ -44,12 +35,14 @@ Sharded control plane (DESIGN.md §14)::
     PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py \
         --scale --shards 8 --users 100000 --out BENCH_scheduler_sharded.json
 
-    # the N=1 bitwise-equivalence gate (exit 1 on any fingerprint drift)
-    PYTHONPATH=src python benchmarks/bench_scheduler_fleet.py --fingerprint-check
-
 ``BENCH_scheduler_sharded.json`` is the committed full scale-tier
-baseline and ``BENCH_scheduler_sharded_quick.json`` the quick-mode one
-CI gates against (``--scale --quick --check ...``).
+record and ``BENCH_scheduler_sharded_quick.json`` the quick-mode one CI
+gates against (``--scale --quick --check ...``): ``--check`` fails when
+bytes of RSS per queued job grow more than 30% (``BENCH_TOLERANCE``
+overrides the tolerance, a fraction).  Wall-clock speed is not gated
+here: the repo benchmark's same-runner A/B (``perfbench/``) drives the
+same ``ShardedFleetScheduler`` over 8 shards in its control_wide
+workload.
 """
 
 from __future__ import annotations
@@ -76,18 +69,15 @@ from repro.core.gcmu import install_gcmu  # noqa: E402
 from repro.globusonline.service import GlobusOnline  # noqa: E402
 from repro.globusonline.transfer import JobStatus  # noqa: E402
 from repro.scheduler import (  # noqa: E402
-    FleetScheduler,
     ScheduledTask,
     SchedulerConfig,
     SchedulerLimits,
     ShardedFleetScheduler,
     jain_index,
-    scheduler_fingerprint,
 )
 from repro.sim.faults import ChaosConfig  # noqa: E402
 from repro.sim.world import World  # noqa: E402
 from repro.storage.data import SyntheticData  # noqa: E402
-from repro.util import opcount  # noqa: E402
 from repro.util.units import KB, MB, gbps  # noqa: E402
 from repro.util.stats import percentile  # noqa: E402
 
@@ -172,10 +162,6 @@ def run_bench(seed: int, users: int, jobs: int, quick: bool,
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
-    # crypto/protocol tallies for the timed region only: setup keygen
-    # (CA construction, key pregeneration, user activation) is excluded,
-    # so the diff counts exactly what the job storm itself performs
-    ops_before = opcount.snapshot()
     t0 = time.perf_counter()
     submitted = []
     for n in range(jobs):
@@ -200,7 +186,6 @@ def run_bench(seed: int, users: int, jobs: int, quick: bool,
     drain_wall = time.perf_counter() - t1
     if gc_was_enabled:
         gc.enable()
-    crypto_ops = opcount.since(ops_before)
 
     ok = sum(1 for j in submitted if j.status is JobStatus.SUCCEEDED)
     failed = len(submitted) - ok
@@ -254,9 +239,6 @@ def run_bench(seed: int, users: int, jobs: int, quick: bool,
                if shards is not None else {}),
             **observability_results,
         },
-        # deterministic per-(seed, scenario) operation tallies — identical
-        # on every machine, so CI can gate them exactly (see --check-crypto)
-        "crypto_ops": crypto_ops,
         "env": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -363,147 +345,25 @@ def run_scale_bench(seed: int, users: int, jobs: int, shards: int,
     }
 
 
-def fingerprint_check(seed: int, users: int, jobs: int) -> int:
-    """Exit 1 unless ShardedFleetScheduler(n=1) is bitwise FleetScheduler.
+def check_rss(current: dict, baseline_path: pathlib.Path) -> int:
+    """Exit code 1 if RSS bytes per queued job grew beyond tolerance.
 
-    Runs the identical direct-submission workload (crash chaos included)
-    through both schedulers in separate worlds and compares the PR-5
-    fingerprint field by field: completion order, per-task delivered
-    bytes, per-user bytes, every lifecycle count, and the virtual clock.
-    """
-    def drive(sharded: bool) -> dict:
-        world = World(seed=seed, event_capacity=10_000, span_capacity=10_000)
-        world.chaos.configure(ChaosConfig(
-            host_crash_every_s=600.0, host_downtime_s=(10.0, 30.0),
-            horizon_s=10 * 24 * 3600.0,
-        ))
-        world.chaos.arm(hosts=list(WORKER_HOSTS))
-        config = SchedulerConfig(
-            workers=len(WORKER_HOSTS), worker_hosts=WORKER_HOSTS,
-            lease_s=40.0, heartbeat_s=8.0, max_task_attempts=100)
-        sched = (ShardedFleetScheduler(world, config, shards=1)
-                 if sharded else FleetScheduler(world, config))
-        for i in range(users):
-            sched.set_weight(f"user{i}", 1.0 + (i % 4))
-        for i in range(jobs):
-            size = 1000 + (i * 7919) % 50000
-            sched.submit(ScheduledTask(
-                task_id="", user=f"user{i % users}",
-                src_endpoint=f"ep-{i % 4}", dst_endpoint=f"ep-{(i + 1) % 4}",
-                size_hint=size,
-                execute=lambda size=size: (world.advance(2.0), size)[1],
-                measure=lambda r: r,
-            ))
-        sched.run_until_idle(max_ticks=100_000_000)
-        return scheduler_fingerprint(world, sched)
-
-    single = drive(sharded=False)
-    sharded = drive(sharded=True)
-    failed = False
-    for key in single:
-        ok = sharded[key] == single[key]
-        failed = failed or not ok
-        detail = "" if ok else f"  single={single[key]!r}  sharded={sharded[key]!r}"
-        if key in ("completion_order", "delivered_bytes", "bytes_by_user"):
-            detail = "" if ok else "  (diverged)"
-        print(f"[fingerprint] {key}: {'OK' if ok else 'MISMATCH'}{detail}")
-    print(f"[fingerprint] {jobs} jobs / {users} users, "
-          f"{int(single['crashes'])} crashes survived -> "
-          f"{'FAIL' if failed else 'IDENTICAL'}")
-    return 1 if failed else 0
-
-
-def check_regression(current: dict, baseline_path: pathlib.Path) -> int:
-    """Exit code 1 if jobs/sec or queue-wait p99 regressed beyond tolerance.
-
-    jobs/sec is wall-clock (noisy across machines; the loose tolerance
-    catches an O(n) scan returning, not CI jitter).  ``queue_wait_p99_s``
-    is *virtual* time — deterministic per (seed, jobs, users) — so it is
-    only compared when the scenarios match, and any drift there means
-    scheduling behaviour changed, not that the machine was slow.
+    Memory per queued job (scale tier).  RSS is allocator- and
+    machine-dependent, so the tolerance is loose: this catches a
+    per-task bookkeeping structure growing a copy of the queue, not
+    malloc jitter.
     """
     baseline = json.loads(baseline_path.read_text())
     tol = float(os.environ.get("BENCH_TOLERANCE", DEFAULT_TOLERANCE))
-    failed = False
-
-    base_rate = baseline["results"]["jobs_per_s"]
-    cur_rate = current["results"]["jobs_per_s"]
-    floor = base_rate * (1.0 - tol)
-    verdict = "OK" if cur_rate >= floor else "REGRESSION"
-    failed = failed or cur_rate < floor
+    base_rss = baseline["results"]["rss_bytes_per_queued_job"]
+    cur_rss = current["results"]["rss_bytes_per_queued_job"]
+    ceiling = base_rss * (1.0 + tol)
+    verdict = "OK" if cur_rss <= ceiling else "REGRESSION"
     print(
-        f"[check] jobs/sec: current={cur_rate:.1f} baseline={base_rate:.1f} "
-        f"floor={floor:.1f} (tolerance {tol:.0%}) -> {verdict}"
+        f"[check] RSS bytes/queued job: current={cur_rss:.1f} "
+        f"baseline={base_rss:.1f} ceiling={ceiling:.1f} -> {verdict}"
     )
-
-    base_p99 = baseline["results"].get("queue_wait_p99_s")
-    if base_p99 is None or baseline.get("scenario") != current.get("scenario"):
-        print("[check] queue wait p99: skipped (baseline scenario differs)")
-    else:
-        cur_p99 = current["results"]["queue_wait_p99_s"]
-        ceiling = base_p99 * (1.0 + tol)
-        verdict = "OK" if cur_p99 <= ceiling else "REGRESSION"
-        failed = failed or cur_p99 > ceiling
-        print(
-            f"[check] queue wait p99 (virtual s): current={cur_p99:.3f} "
-            f"baseline={base_p99:.3f} ceiling={ceiling:.3f} -> {verdict}"
-        )
-
-    base_rss = baseline["results"].get("rss_bytes_per_queued_job")
-    cur_rss = current["results"].get("rss_bytes_per_queued_job")
-    if base_rss is not None and cur_rss is not None:
-        # Memory per queued job (scale tier only).  RSS is allocator- and
-        # machine-dependent, so the same loose tolerance applies: this
-        # catches a per-task bookkeeping structure growing a copy of the
-        # queue, not malloc jitter.
-        ceiling = base_rss * (1.0 + tol)
-        verdict = "OK" if cur_rss <= ceiling else "REGRESSION"
-        failed = failed or cur_rss > ceiling
-        print(
-            f"[check] RSS bytes/queued job: current={cur_rss:.1f} "
-            f"baseline={base_rss:.1f} ceiling={ceiling:.1f} -> {verdict}"
-        )
-
-    return 1 if failed else 0
-
-
-def check_crypto(current: dict, baseline_path: pathlib.Path) -> int:
-    """Exit code 1 if any crypto/protocol op count exceeds the baseline.
-
-    Unlike jobs/sec, these tallies are *deterministic* per (seed,
-    scenario): every RSA exponentiation and GSI handshake the storm
-    performs is fixed by the seeded streams.  The gate is therefore
-    exact — a single extra ``rsa.sign`` means a session-layer cache
-    stopped hitting, not that the machine was slow.  Counts *below*
-    baseline pass with a note to refresh the committed file.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    if baseline.get("scenario") != current.get("scenario"):
-        print("[crypto] skipped (baseline scenario differs)")
-        return 0
-    base_ops: dict = baseline.get("crypto_ops", {})
-    cur_ops: dict = current.get("crypto_ops", {})
-    failed = False
-    improved = False
-    for name in sorted(set(base_ops) | set(cur_ops)):
-        base_n = int(base_ops.get(name, 0))
-        cur_n = int(cur_ops.get(name, 0))
-        if cur_n > base_n:
-            failed = True
-            verdict = "REGRESSION"
-        elif cur_n < base_n:
-            improved = True
-            verdict = "improved"
-        else:
-            verdict = "OK"
-        print(f"[crypto] {name}: current={cur_n} baseline={base_n} -> {verdict}")
-    if failed:
-        print("[crypto] FAIL: op counts above baseline (a cache stopped hitting)")
-        return 1
-    if improved:
-        print(f"[crypto] counts dropped below baseline — refresh {baseline_path.name}")
-    print("[crypto] OK")
-    return 0
+    return 0 if cur_rss <= ceiling else 1
 
 
 def overhead_check(seed: int, users: int, jobs: int, quick: bool) -> int:
@@ -541,6 +401,11 @@ def overhead_check(seed: int, users: int, jobs: int, quick: bool) -> int:
     return 0 if best[True] >= floor else 1
 
 
+def save(report: dict, out: pathlib.Path | None) -> None:
+    if out is not None:
+        out.write_text(json.dumps(report, indent=2) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -548,10 +413,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--users", type=int, default=None)
-    parser.add_argument("--out", type=pathlib.Path,
-                        default=REPO_ROOT / "BENCH_scheduler.json")
+    parser.add_argument("--out", type=pathlib.Path, default=None,
+                        help="save the JSON report here")
     parser.add_argument("--check", type=pathlib.Path, default=None,
-                        help="baseline JSON to gate against (>30%% regression fails)")
+                        help="scale tier: baseline JSON whose RSS bytes per queued "
+                             "job may grow at most 30%%")
     parser.add_argument("--observability", action="store_true",
                         help="attach the flight recorder + SLO engine")
     parser.add_argument("--overhead-check", action="store_true",
@@ -563,22 +429,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="control-plane-only scale tier: direct "
                              "submissions, no data plane (default 100000 "
                              "users / 2 jobs each / 8 shards)")
-    parser.add_argument("--fingerprint-check", action="store_true",
-                        help="gate ShardedFleetScheduler(n=1) bitwise against "
-                             "FleetScheduler on the 5k-job/50-user workload")
-    parser.add_argument("--crypto-ops", action="store_true",
-                        help="print the deterministic crypto/protocol op "
-                             "tallies for the timed region")
-    parser.add_argument("--check-crypto", type=pathlib.Path, default=None,
-                        help="baseline JSON for the exact crypto-op gate "
-                             "(any count above baseline fails)")
     args = parser.parse_args(argv)
-
-    if args.fingerprint_check:
-        return fingerprint_check(
-            args.seed,
-            args.users if args.users is not None else 50,
-            args.jobs if args.jobs is not None else 5000)
+    if args.check is not None and not args.scale:
+        parser.error("--check gates the scale tier only (add --scale)")
+    saved = f"  [saved to {args.out}]" if args.out is not None else ""
 
     if args.scale:
         users = args.users if args.users is not None else (
@@ -587,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         shards = args.shards if args.shards is not None else 8
         report = run_scale_bench(args.seed, users, jobs, shards,
                                  quick=args.quick)
-        args.out.write_text(json.dumps(report, indent=2) + "\n")
+        save(report, args.out)
         r = report["results"]
         print(
             f"[scale] {jobs} jobs / {users} users / {shards} shards in "
@@ -597,10 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"[scale] {r['rss_bytes_per_queued_job']} RSS bytes per queued "
             f"job at depth {r['peak_queue_depth']}; jain {r['jain_fairness']}"
-            f"  [saved to {args.out}]"
+            f"{saved}"
         )
         if args.check is not None:
-            return check_regression(report, args.check)
+            return check_rss(report, args.check)
         return 0
 
     users = args.users if args.users is not None else 50
@@ -611,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run_bench(args.seed, users, jobs, quick=args.quick,
                        observability=args.observability, shards=args.shards)
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    save(report, args.out)
     r = report["results"]
     shard_note = f" / {args.shards} shards" if args.shards is not None else ""
     print(
@@ -625,18 +479,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{r['batches_coalesced']} batches ({r['batched_files']} files folded)"
         + (f", {r['steals']} steals" if "steals" in r else "")
     )
-    print(f"succeeded {r['succeeded']} / failed {r['failed']}  [saved to {args.out}]")
-
-    if args.crypto_ops:
-        for name, count in sorted(report["crypto_ops"].items()):
-            print(f"[crypto] {name}: {count}")
-
-    rc = 0
-    if args.check is not None:
-        rc = check_regression(report, args.check)
-    if args.check_crypto is not None:
-        rc = max(rc, check_crypto(report, args.check_crypto))
-    return rc
+    print(f"succeeded {r['succeeded']} / failed {r['failed']}{saved}")
+    return 0
 
 
 if __name__ == "__main__":

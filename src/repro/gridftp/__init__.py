@@ -6,9 +6,11 @@ protocol extension (DCSC).  Layout mirrors the architecture of Figure 2:
 * control channel: :mod:`replies`, :mod:`commands`, :mod:`server`
   (server PI), :mod:`client` (client PI);
 * data channel: :mod:`mode_e` (extended block mode framing),
-  :mod:`restart` / :mod:`perf` (markers), :mod:`dtp` (data transfer
-  process), :mod:`transfer` (the engine that binds the protocol to the
-  network model), :mod:`striped` (striped servers);
+  :mod:`restart` / :mod:`perf` (markers), :mod:`transfer` (the engine
+  that binds the protocol to the network model), :mod:`striped`
+  (striped servers).  The data transfer processes (DTPs) of a server
+  are its ``GridFTPServer.dtp_hosts``: the server host itself for a
+  conventional server, one stripe node each for a striped one;
 * security: :mod:`dcau` (data channel authentication), :mod:`dcsc`
   (the Data Channel Security Context command);
 * orchestration: :mod:`third_party`, :mod:`tuning`.

@@ -202,12 +202,6 @@ def keypair_to_pem(key: KeyPair) -> str:
     return pem_encode(PEM_KEY_LABEL, canonical_json(key.to_dict()))
 
 
-def keypair_from_pem(text: str) -> KeyPair:
-    """Parse a PEM RSA PRIVATE KEY block."""
-    _, der = pem_decode(text, expected_label=PEM_KEY_LABEL)
-    return keypair_from_der(der)
-
-
 def keypair_from_der(der: bytes) -> KeyPair:
     """Parse the base64-decoded body of a PEM key block."""
     try:

@@ -112,14 +112,3 @@ def strip_proxy_cns(subject: DistinguishedName) -> DistinguishedName:
         else:
             break
     return DistinguishedName(rdns=tuple(rdns))
-
-
-def proxy_depth(chain: tuple[Certificate, ...]) -> int:
-    """Number of proxy certificates at the head of the chain."""
-    depth = 0
-    for cert in chain:
-        if cert.is_proxy:
-            depth += 1
-        else:
-            break
-    return depth

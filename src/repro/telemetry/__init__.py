@@ -7,8 +7,7 @@ Five pillars (see DESIGN.md "Observability"):
 * :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms with Prometheus-style text exposition and optional
   trace-id exemplars per bucket;
-* :mod:`repro.telemetry.profiling` — the ``@timed`` decorator and the
-  per-world slow-operation log;
+* :mod:`repro.telemetry.profiling` — the per-world slow-operation log;
 * :mod:`repro.telemetry.flightrecorder` — the bounded per-job black
   box: causal records assembled from scheduler/recovery/transfer
   events, keyed by trace id;
@@ -30,7 +29,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     Sample,
 )
-from repro.telemetry.profiling import SlowOp, SlowOpLog, timed
+from repro.telemetry.profiling import SlowOp, SlowOpLog
 from repro.telemetry.slo import (
     BurnWindow,
     ServiceObjective,
@@ -62,6 +61,5 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "default_slos",
-    "timed",
     "wire_slos",
 ]

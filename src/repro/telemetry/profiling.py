@@ -1,29 +1,16 @@
-"""Profiling hooks: where does virtual time go?
+"""The slow-operation log: which operations took long in virtual time?
 
-Benchmarks that claim "the hot path got faster" need attribution, not
-just end-to-end totals.  Two lightweight tools:
-
-* :func:`timed` — a decorator for methods of world-owning objects
-  (anything with a ``.world``).  Each call is recorded into the
-  ``op_virtual_seconds`` histogram labelled by category, and into the
-  world's :class:`SlowOpLog` when it exceeds the slow threshold.
-* :class:`SlowOpLog` — a bounded per-world record of operations (and
-  tracer spans) whose virtual duration crossed a threshold, so a test
-  can assert e.g. "no single control-channel exchange took more than a
-  second of virtual time".
+:class:`SlowOpLog` is a bounded per-world record of the tracer spans
+whose virtual duration crossed a threshold (``Tracer`` offers each span
+as it ends), so a test can assert e.g. "no single control-channel
+exchange took more than a second of virtual time".
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, TypeVar
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-#: histogram fed by :func:`timed`
-OP_HISTOGRAM = "op_virtual_seconds"
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -77,41 +64,3 @@ class SlowOpLog:
     def clear(self) -> None:
         """Drop recorded entries (threshold and capacity stay)."""
         self._entries.clear()
-
-
-def timed(category: str) -> Callable[[F], F]:
-    """Record a method's virtual duration under ``category``.
-
-    The wrapped function's first argument must carry a ``.world`` (or
-    *be* a world); calls made before telemetry exists, or on objects
-    without a world, run unrecorded rather than failing.
-    """
-
-    def decorate(fn: F) -> F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            world = None
-            if args:
-                world = getattr(args[0], "world", None)
-                if world is None and hasattr(args[0], "metrics") and hasattr(args[0], "now"):
-                    world = args[0]
-            metrics = getattr(world, "metrics", None)
-            if metrics is None:
-                return fn(*args, **kwargs)
-            start = world.now
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                duration = world.now - start
-                metrics.histogram(
-                    OP_HISTOGRAM,
-                    "Virtual seconds spent per instrumented operation",
-                    labelnames=("category",),
-                ).observe(duration, category=category)
-                slow = getattr(world, "slow_ops", None)
-                if slow is not None:
-                    slow.record(f"{category}:{fn.__qualname__}", start, duration)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

@@ -6,9 +6,11 @@ not — every stream in the simulation is seeded, so one scenario run in
 a fresh process executes the identical operation sequence on any
 machine or Python version.  The session-layer caches (the
 control-channel pool and the DCAU cache) exist precisely to shrink
-these counts, and ``bench_scheduler_fleet --crypto-ops`` gates
-them in CI: counts above the committed baseline mean a cache stopped
-hitting.
+these counts.  The repo benchmark (``perfbench/``) reads them into
+its work counts, and CI gates a traced seed-7 run of each workload
+exactly against ``BENCH_work_counts.json``: a count off the committed
+baseline means a cache stopped hitting (or hit where it should not).
+The outcome digest gated there hashes every tally, memo hits included.
 
 The tallies are exact per fresh process, not per (seed, scenario): the
 process-global memos (keygen, certificate parse, credential round trip)

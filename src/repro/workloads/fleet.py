@@ -11,35 +11,15 @@ window and synthesizes each day's usage records from the *reporting*
 subset, feeding them through the same usage pipeline a live server uses
 (:mod:`repro.metrics.usage`).  The growth curve is logistic, calibrated
 so the final year matches the paper's figures.
-
-:class:`FleetTransferScenario` is the *wall-clock* counterpart: instead
-of synthesizing usage records it actually drives the transfer engine at
-fleet scale — thousands of small-file transfers between one endpoint
-pair plus a multi-GiB striped transfer, under a dense scheduled-fault
-plan — so ``benchmarks/bench_wallclock_fleet.py`` can measure how fast
-the *simulator* itself runs the paper's workload.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.gridftp.dcau import DataChannelSecurity, DCAUMode
-from repro.gridftp.mode_e import DEFAULT_BLOCK_SIZE
-from repro.gridftp.transfer import (
-    SinkSpec,
-    SourceSpec,
-    TransferEngine,
-    TransferOptions,
-    TransferResult,
-)
-from repro.pki.validation import TrustStore
-from repro.sim.world import World
-from repro.storage.data import LiteralData, SyntheticData
-from repro.storage.posix import PosixStorage
-from repro.util.units import DAY, GB, KB, PB, gbps
+from repro.util.units import DAY, PB
 
 
 @dataclass(frozen=True)
@@ -114,170 +94,3 @@ class FleetModel:
         """Virtual time (seconds) of a day index."""
         return day_index * DAY
 
-
-# ---------------------------------------------------------------------------
-# Wall-clock fleet scenario
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetWorkloadConfig:
-    """Shape of one wall-clock fleet run.
-
-    ``side_pairs``/``scheduled_faults`` build a realistic backdrop: a
-    topology with many more hosts and links than the transfer touches,
-    and a dense fault plan on those *side* links — exactly what a
-    production fault schedule looks like from one transfer's point of
-    view (almost everything scheduled is about somebody else).
-    """
-
-    seed: int = 7
-    small_files: int = 10_000
-    small_file_bytes: int = 64 * KB
-    striped_bytes: int = 4 * GB
-    stripes: int = 4
-    side_pairs: int = 50
-    scheduled_faults: int = 2_000
-    block_size: int = DEFAULT_BLOCK_SIZE
-
-    def quick(self) -> "FleetWorkloadConfig":
-        """A CI-smoke-sized copy (same per-transfer cost, fewer of them)."""
-        from dataclasses import replace
-
-        return replace(self, small_files=1_000, striped_bytes=512 * 1024 * 1024)
-
-
-@dataclass
-class FleetRunStats:
-    """What one phase of the scenario did (for the bench report)."""
-
-    transfers: int = 0
-    bytes_moved: int = 0
-    blocks_planned: int = 0
-    results: list[TransferResult] = field(default_factory=list)
-
-
-def _blocks_for(size: int, block_size: int) -> int:
-    """Mode E blocks a whole-file plan of ``size`` bytes produces."""
-    return max(1, -(-size // block_size))
-
-
-class FleetTransferScenario:
-    """Drives the transfer engine the way a busy deployment does.
-
-    One endpoint pair (``dtn-src`` → ``dtn-dst`` across two routers)
-    moves every small file — fleets re-use routes — while ``stripes``
-    stripe hosts on each side carry the multi-GiB striped transfer.
-    ``scheduled_faults`` outages/degradations sit on side links the
-    transfers never touch, so every run finishes clean but every fault
-    query sees a production-sized plan.
-    """
-
-    def __init__(self, config: FleetWorkloadConfig | None = None) -> None:
-        self.config = config or FleetWorkloadConfig()
-        cfg = self.config
-        self.world = World(seed=cfg.seed, event_capacity=4096, span_capacity=4096)
-        net = self.world.network
-        net.add_host("dtn-src", nic_bps=gbps(10))
-        net.add_host("dtn-dst", nic_bps=gbps(10))
-        net.add_router("core-a")
-        net.add_router("core-b")
-        net.add_link("dtn-src", "core-a", gbps(40), 0.001)
-        net.add_link("core-a", "core-b", gbps(100), 0.02)
-        net.add_link("core-b", "dtn-dst", gbps(40), 0.001)
-        self.src_stripes = tuple(f"src-s{i}" for i in range(cfg.stripes))
-        self.dst_stripes = tuple(f"dst-s{i}" for i in range(cfg.stripes))
-        for h in self.src_stripes:
-            net.add_host(h, nic_bps=gbps(10))
-            net.add_link(h, "core-a", gbps(10), 0.001)
-        for h in self.dst_stripes:
-            net.add_host(h, nic_bps=gbps(10))
-            net.add_link(h, "core-b", gbps(10), 0.001)
-        # the backdrop: side links whose faults this scenario never hits
-        side_links = []
-        for i in range(cfg.side_pairs):
-            a, b = f"fleet-h{i}a", f"fleet-h{i}b"
-            net.add_host(a)
-            net.add_host(b)
-            side_links.append(net.add_link(a, b, gbps(1), 0.01).link_id)
-        rng = random.Random(cfg.seed)
-        for i in range(cfg.scheduled_faults):
-            link = side_links[i % len(side_links)]
-            at = rng.uniform(0.0, 50_000.0)
-            if i % 3 == 0:
-                self.world.faults.degrade_link(
-                    link, at=at, duration=rng.uniform(5.0, 60.0),
-                    factor=rng.uniform(0.2, 0.8),
-                )
-            elif i % 3 == 1:
-                self.world.faults.cut_link(link, at=at, duration=rng.uniform(1.0, 30.0))
-            else:
-                self.world.faults.crash_host(
-                    f"fleet-h{i % len(side_links)}a", at=at,
-                    duration=rng.uniform(1.0, 30.0),
-                )
-        self.engine = TransferEngine(self.world)
-        self.storage = PosixStorage(self.world.clock)
-        self.storage.makedirs("/fleet", 0)
-        self._security = DataChannelSecurity(
-            mode=DCAUMode.NONE, credential=None, trust=TrustStore(),
-            endpoint_name="fleet",
-        )
-        self._payload = LiteralData(
-            bytes(rng.getrandbits(8) for _ in range(cfg.small_file_bytes))
-        )
-        # the small-file hot path reuses one spec/options trio per call:
-        # the engine treats specs as read-only, so only the sink handle
-        # needs swapping between transfers
-        self._small_source = SourceSpec(
-            hosts=("dtn-src",), data=self._payload, security=self._security
-        )
-        self._small_sink = SinkSpec(
-            hosts=("dtn-dst",),
-            sink=None,  # type: ignore[arg-type]  # set per transfer
-            security=self._security,
-        )
-        self._small_options = TransferOptions(block_size=cfg.block_size)
-
-    # -- the two phases -------------------------------------------------------
-
-    def run_small_file(self, index: int) -> TransferResult:
-        """Move one small file dtn-src -> dtn-dst (the per-file hot path)."""
-        sink_spec = self._small_sink
-        sink_spec.sink = self.storage.open_write(
-            f"/fleet/file-{index}.dat", 0, self._payload.size
-        )
-        return self.engine.execute(
-            self._small_source, sink_spec, self._small_options
-        )
-
-    def run_small_files(self, on_each=None) -> FleetRunStats:
-        """The many-small-files phase; ``on_each(i, fn)`` may wrap each call."""
-        cfg = self.config
-        stats = FleetRunStats()
-        for i in range(cfg.small_files):
-            if on_each is not None:
-                result = on_each(i, lambda: self.run_small_file(i))
-            else:
-                result = self.run_small_file(i)
-            stats.transfers += 1
-            stats.bytes_moved += result.nbytes
-            stats.blocks_planned += _blocks_for(result.nbytes, cfg.block_size)
-        return stats
-
-    def run_striped(self) -> FleetRunStats:
-        """The multi-GiB striped phase (synthetic content, 4-way stripes)."""
-        cfg = self.config
-        data = SyntheticData(seed=cfg.seed + 99, length=cfg.striped_bytes)
-        sink = self.storage.open_write("/fleet/striped.bin", 0, data.size)
-        result = self.engine.execute(
-            SourceSpec(hosts=self.src_stripes, data=data, security=self._security),
-            SinkSpec(hosts=self.dst_stripes, sink=sink, security=self._security),
-            TransferOptions(parallelism=4, block_size=cfg.block_size),
-        )
-        return FleetRunStats(
-            transfers=1,
-            bytes_moved=result.nbytes,
-            blocks_planned=_blocks_for(result.nbytes, cfg.block_size),
-            results=[result],
-        )

@@ -134,6 +134,19 @@ def test_soak_replays_bit_for_bit(seed):
     assert a["worker_crashes"] == b["worker_crashes"]
 
 
+def test_quick_campaign_virtual_outcome_is_pinned():
+    """The quick campaign at seed 7 (2 requests x 8 files x 64 KiB, 2
+    destination sites, quorum 2) is seeded virtual time, so its outcome
+    is pinned exactly: any drift is a pipeline-behaviour change."""
+    campaign = ArchivalCampaign(CampaignConfig(seed=7).quick())
+    stats = campaign.run()
+    assert round(campaign.world.now, 2) == 1260.15
+    assert stats["injected_faults"] == 28
+    assert campaign.world.metrics.get("archive_lease_expirations_total").total() == 24
+    assert stats["history_digest"] == (
+        "eb41c723d736acc2e906ced2b66696847b5717cd10416e0301b722416eaecf86")
+
+
 def test_sharded_scheduler_campaign_completes():
     campaign, stats = _run(SEEDS[0], shards=2)
     assert all(b.status is BundleStatus.SOURCE_DELETED

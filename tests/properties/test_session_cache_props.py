@@ -40,7 +40,12 @@ _ops = st.lists(
 
 
 def _run(seed: int, ops, *, cached: bool):
-    """One world, one op sequence; returns its observable outcome."""
+    """One world, one op sequence; returns its observable outcome.
+
+    The process's own ``REPRO_NO_SESSION_CACHE`` is restored afterwards,
+    so tests collected later still run under the caller's setting.
+    """
+    prior = os.environ.get("REPRO_NO_SESSION_CACHE")
     if cached:
         os.environ.pop("REPRO_NO_SESSION_CACHE", None)
     else:
@@ -81,7 +86,10 @@ def _run(seed: int, ops, *, cached: bool):
                 session = None
         return world.now, tuple(mapped), tuple(moved)
     finally:
-        os.environ.pop("REPRO_NO_SESSION_CACHE", None)
+        if prior is None:
+            os.environ.pop("REPRO_NO_SESSION_CACHE", None)
+        else:
+            os.environ["REPRO_NO_SESSION_CACHE"] = prior
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,3 +97,10 @@ def _run(seed: int, ops, *, cached: bool):
 def test_cached_and_uncached_worlds_agree(seed, ops):
     """Cache-on and cache-off twins reach bit-identical outcomes."""
     assert _run(seed, ops, cached=True) == _run(seed, ops, cached=False)
+
+
+def test_run_restores_the_callers_cache_setting(monkeypatch):
+    """A suite run with the caches off stays off after a cached twin."""
+    monkeypatch.setenv("REPRO_NO_SESSION_CACHE", "1")
+    _run(0, [("connect", True), ("release",)], cached=True)
+    assert os.environ["REPRO_NO_SESSION_CACHE"] == "1"

@@ -1,70 +1,6 @@
-"""The @timed decorator and the slow-operation log."""
+"""The slow-operation log."""
 
-import pytest
-
-from repro.sim.world import World
-from repro.telemetry.profiling import OP_HISTOGRAM, SlowOpLog, timed
-
-
-class _Component:
-    """A world-owning object with instrumented operations."""
-
-    def __init__(self, world: World) -> None:
-        self.world = world
-
-    @timed("demo.cheap")
-    def cheap(self) -> str:
-        return "ok"
-
-    @timed("demo.costly")
-    def costly(self, seconds: float) -> None:
-        self.world.advance(seconds)
-
-    @timed("demo.failing")
-    def failing(self) -> None:
-        self.world.advance(5.0)
-        raise RuntimeError("op failed")
-
-
-def test_timed_records_histogram_by_category():
-    w = World(seed=1)
-    comp = _Component(w)
-    assert comp.cheap() == "ok"
-    comp.costly(3.0)
-    h = w.metrics.get(OP_HISTOGRAM)
-    assert h.count(category="demo.cheap") == 1
-    assert h.sum(category="demo.cheap") == 0.0
-    assert h.count(category="demo.costly") == 1
-    assert h.sum(category="demo.costly") == pytest.approx(3.0)
-
-
-def test_timed_records_even_when_op_raises():
-    w = World(seed=1)
-    comp = _Component(w)
-    with pytest.raises(RuntimeError):
-        comp.failing()
-    h = w.metrics.get(OP_HISTOGRAM)
-    assert h.count(category="demo.failing") == 1
-    assert h.sum(category="demo.failing") == pytest.approx(5.0)
-
-
-def test_timed_feeds_slow_op_log_above_threshold():
-    w = World(seed=1, slow_op_threshold_s=1.0)
-    comp = _Component(w)
-    comp.costly(0.25)  # below threshold: not logged
-    comp.costly(4.0)
-    entries = w.slow_ops.entries("demo.costly")
-    assert len(entries) == 1
-    assert entries[0].duration_s == pytest.approx(4.0)
-
-
-def test_timed_without_world_is_a_no_op():
-    class Bare:
-        @timed("demo.bare")
-        def op(self) -> int:
-            return 42
-
-    assert Bare().op() == 42
+from repro.telemetry.profiling import SlowOpLog
 
 
 def test_slow_op_log_capacity_and_queries():
@@ -116,45 +52,3 @@ def test_entries_filters_by_name_prefix():
     assert len(log.entries()) == 3
     assert [op.name for op in log.slowest(2)] == [
         "scheduler.claim", "gridftp.stor"]
-
-
-def test_timed_metric_emission_spans_buckets():
-    w = World(seed=2)
-    comp = _Component(w)
-    for seconds in (0.25, 3.0, 40.0):
-        comp.costly(seconds)
-    h = w.metrics.get(OP_HISTOGRAM)
-    assert h.count(category="demo.costly") == 3
-    assert h.sum(category="demo.costly") == pytest.approx(43.25)
-    buckets = h.bucket_counts(category="demo.costly")
-    assert buckets[0.5] == 1   # only the 0.25s op
-    assert buckets[5.0] == 2   # plus the 3s op
-    assert buckets[60.0] == 3  # all of them
-
-
-def test_timed_ring_eviction_under_sustained_slowness():
-    w = World(seed=2, slow_op_threshold_s=0.5)
-    w.slow_ops._entries = type(w.slow_ops._entries)(maxlen=4)
-    comp = _Component(w)
-    for _ in range(6):
-        comp.costly(1.0)
-    assert len(w.slow_ops) == 4  # ring keeps only the newest
-    assert w.slow_ops.total_recorded == 6
-
-
-def test_dtp_storage_ops_are_instrumented():
-    from repro.gridftp.dtp import DataTransferProcess
-    from repro.storage.posix import PosixStorage
-    from repro.storage.data import LiteralData
-
-    w = World(seed=3)
-    w.network.add_host("dtn")
-    fs = PosixStorage(w.clock)
-    fs.makedirs("/data", 0)
-    fs.write_file("/data/f.bin", LiteralData(b"x" * 100), uid=0)
-    dtp = DataTransferProcess(w, "dtn", fs)
-    dtp.open_source("/data/f.bin", 0)
-    dtp.open_sink("/data/g.bin", 0, expected_size=100)
-    h = w.metrics.get(OP_HISTOGRAM)
-    assert h.count(category="storage.open_source") == 1
-    assert h.count(category="storage.open_sink") == 1

@@ -1,17 +1,19 @@
 #!/usr/bin/env python
-"""Gate a traced repo-benchmark run's work counts exactly.
+"""Gate a traced repo-benchmark run's work counts and outcome exactly.
 
 Work counts (metric updates, spans, events, scheduler events fired)
-are a pure function of workload and seed, so any difference from the
-committed baseline is a behaviour or instrumentation change, never
-machine noise.  Feed this script the standard output of a traced run::
+and the outcome digest (every op's virtual start and end, bytes and
+status, plus the full counts dict) are a pure function of workload and
+seed, so any difference from the committed baseline is a behaviour or
+instrumentation change, never machine noise.  Feed this script the
+standard output of a traced run::
 
     python3 perfbench/run.py --workload control_wide --trace 1 --seconds 1 > run.out
     python3 tools/check_work_counts.py BENCH_work_counts.json run.out
 
-It exits 1 and prints one ``MISMATCH`` line per count that differs, or
-2 if the run was not traced, failed, or used a seed or workload the
-baseline does not hold.
+It exits 1 and prints one ``MISMATCH`` line per count or digest that
+differs, or 2 if the run was not traced, failed, or used a seed or
+workload the baseline does not hold.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ def check(baseline: dict, output: str) -> tuple[int, list[str]]:
     if seed != baseline["seed"] or workload not in baseline["workloads"]:
         return 2, [f"baseline holds no counts for {workload} at seed {seed}"]
     code, report = 0, []
+    expected = baseline["digests"][workload]
+    if detail["digest"] == expected:
+        report.append(f"ok        {workload} digest = {expected}")
+    else:
+        code = 1
+        report.append(f"MISMATCH  {workload} digest: {detail['digest']} != baseline {expected}")
     for name, expected in sorted(baseline["workloads"][workload].items()):
         got = result["metrics"][name]["value"]
         if got == expected:
