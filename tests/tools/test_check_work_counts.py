@@ -11,16 +11,18 @@ _spec = importlib.util.spec_from_file_location("check_work_counts", TOOL)
 check_work_counts = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_work_counts)
 
-BASELINE = {
-    "seed": 7,
-    "digests": {"control_wide": "d" * 64},
-    "workloads": {"control_wide": {"sim.events_fired": 5036, "telemetry.spans": 48000}},
-}
+BASELINE = {"runs": {"control_wide": {
+    "7": {"digest": "d" * 64,
+          "counts": {"sim.events_fired": 5036, "telemetry.spans": 48000}},
+    "404": {"digest": "f" * 64,
+            "counts": {"sim.events_fired": 5001, "telemetry.spans": 48000}},
+}}}
 
 
-def _run_output(*, seed=7, trace=1, digest="d" * 64, events=5036, spans=48000) -> str:
+def _run_output(*, workload="control_wide", seed=7, trace=1, digest="d" * 64,
+                events=5036, spans=48000) -> str:
     """Standard output of a run.py run: its detail line, then its result line."""
-    detail = {"perfbench": {"workload": "control_wide", "seed": seed, "trace": trace,
+    detail = {"perfbench": {"workload": workload, "seed": seed, "trace": trace,
                             "digest": digest}}
     result = {"correct": True, "metrics": {
         "sim.events_fired": {"value": events, "unit": "count"},
@@ -47,16 +49,26 @@ def test_equal_counts_and_digest_pass(gate, capsys):
     assert "MISMATCH" not in capsys.readouterr().out
 
 
+def test_held_out_seed_is_gated_on_its_own_counts(gate, capsys):
+    assert gate(_run_output(seed=404, digest="f" * 64, events=5001)) == 0
+    assert "control_wide@404 sim.events_fired = 5001" in capsys.readouterr().out
+    # seed 7's counts do not pass at the held-out seed
+    assert gate(_run_output(seed=404)) == 1
+    out = capsys.readouterr().out
+    assert "control_wide@404 sim.events_fired: 5036 != baseline 5001" in out
+    assert "control_wide@404 digest" in out
+
+
 def test_one_differing_count_fails(gate, capsys):
     assert gate(_run_output(spans=48001)) == 1
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("MISMATCH")]
-    assert "telemetry.spans: 48001 != baseline 48000" in line
+    assert "control_wide@7 telemetry.spans: 48001 != baseline 48000" in line
 
 
 def test_differing_digest_fails(gate, capsys):
     assert gate(_run_output(digest="e" * 64)) == 1
     (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("MISMATCH")]
-    assert "control_wide digest" in line
+    assert "control_wide@7 digest" in line
 
 
 def test_untraced_run_is_refused(gate, capsys):
@@ -67,3 +79,8 @@ def test_untraced_run_is_refused(gate, capsys):
 def test_seed_the_baseline_lacks_is_refused(gate, capsys):
     assert gate(_run_output(seed=11)) == 2
     assert "no counts for control_wide at seed 11" in capsys.readouterr().out
+
+
+def test_workload_the_baseline_lacks_is_refused(gate, capsys):
+    assert gate(_run_output(workload="go_storm")) == 2
+    assert "no counts for go_storm at seed 7" in capsys.readouterr().out

@@ -5,10 +5,12 @@ Work counts (metric updates, spans, events, scheduler events fired)
 and the outcome digest (every op's virtual start and end, bytes and
 status, plus the full counts dict) are a pure function of workload and
 seed, so any difference from the committed baseline is a behaviour or
-instrumentation change, never machine noise.  Feed this script the
-standard output of a traced run::
+instrumentation change, never machine noise.  The baseline holds each
+workload at two seeds: the default seed 7 and its held-out seed from
+``perfbench/plan.json``.  Feed this script the standard output of a
+traced run at either::
 
-    python3 perfbench/run.py --workload control_wide --trace 1 --seconds 1 > run.out
+    python3 perfbench/run.py --workload control_wide --seed 404 --trace 1 --seconds 1 > run.out
     python3 tools/check_work_counts.py BENCH_work_counts.json run.out
 
 It exits 1 and prints one ``MISMATCH`` line per count or digest that
@@ -36,22 +38,24 @@ def check(baseline: dict, output: str) -> tuple[int, list[str]]:
         return 2, [f"{workload}: run was not correct"]
     if not detail["trace"]:
         return 2, [f"{workload}: run was not traced (--trace 1)"]
-    if seed != baseline["seed"] or workload not in baseline["workloads"]:
+    pinned = baseline["runs"].get(workload, {}).get(str(seed))
+    if pinned is None:
         return 2, [f"baseline holds no counts for {workload} at seed {seed}"]
     code, report = 0, []
-    expected = baseline["digests"][workload]
+    expected = pinned["digest"]
     if detail["digest"] == expected:
-        report.append(f"ok        {workload} digest = {expected}")
+        report.append(f"ok        {workload}@{seed} digest = {expected}")
     else:
         code = 1
-        report.append(f"MISMATCH  {workload} digest: {detail['digest']} != baseline {expected}")
-    for name, expected in sorted(baseline["workloads"][workload].items()):
+        report.append(f"MISMATCH  {workload}@{seed} digest: {detail['digest']} "
+                      f"!= baseline {expected}")
+    for name, expected in sorted(pinned["counts"].items()):
         got = result["metrics"][name]["value"]
         if got == expected:
-            report.append(f"ok        {workload} {name} = {got}")
+            report.append(f"ok        {workload}@{seed} {name} = {got}")
         else:
             code = 1
-            report.append(f"MISMATCH  {workload} {name}: {got} != baseline {expected}")
+            report.append(f"MISMATCH  {workload}@{seed} {name}: {got} != baseline {expected}")
     return code, report
 
 
