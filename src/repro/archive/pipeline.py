@@ -6,8 +6,8 @@ scheduler, collect landed transfers, verify, delete — counting work
 units per pass.  When a full pass makes no progress and the catalog is
 not done, the pipeline is event-blocked: either a lease must lapse
 (crashed claimant) or a downed component host must come back.  The loop
-advances virtual time to the earliest such event, exactly the
-``_wait_for_next_event`` discipline of :class:`FleetScheduler`; if no
+advances virtual time to the earliest such event, exactly the idle
+step of the fleet scheduler's :func:`~repro.scheduler.workers.drain`; if no
 future event exists the catalog has genuinely stalled and that is an
 error, never a silent hang.
 """

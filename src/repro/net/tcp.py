@@ -16,7 +16,7 @@ they are exactly the effects GridFTP's optimizations attack:
    small files is round-trip-bound and why GridFTP pipelining matters.
 
 The model is analytic and deterministic: given a :class:`PathStats` it
-returns steady-state rates and whole-transfer durations.  It is not a
+returns steady-state rates and slow-start ramp costs.  It is not a
 packet simulator, but it reproduces the *shape* of every performance
 claim in the paper (see DESIGN.md section 2).
 """
@@ -110,27 +110,3 @@ def slow_start_penalty_s(path: PathStats, rate_bps: float, model: TCPModel) -> f
     doublings = math.log2(steady_window_bits / init_bits)
     return doublings * path.rtt_s
 
-
-def tcp_transfer_time(
-    nbytes: int,
-    path: PathStats,
-    streams: int = 1,
-    model: TCPModel | None = None,
-    include_handshake: bool = True,
-) -> float:
-    """Seconds to move ``nbytes`` over ``streams`` parallel streams.
-
-    Includes connection setup (the stream handshakes run concurrently, so
-    one handshake delay is charged) and the slow-start ramp.
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    model = model or TCPModel.untuned()
-    rate = tcp_aggregate_rate(path, streams, model)
-    t = 0.0
-    if include_handshake:
-        t += model.handshake_rtts * path.rtt_s
-    if nbytes:
-        t += slow_start_penalty_s(path, rate / streams, model)
-        t += nbytes * 8.0 / rate
-    return t

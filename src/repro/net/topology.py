@@ -332,17 +332,6 @@ class Network:
         object.__setattr__(stats, "_faulted_targets", (faults.epoch, links, hosts))
         return links, hosts
 
-    def path_up(self, stats: PathStats, t: float | None = None) -> bool:
-        """True iff every link and host on the path is up at time ``t``."""
-        t = self.world.now if t is None else t
-        faults = self.world.faults
-        links, hosts = self._faulted_targets(stats, faults)
-        if any(faults.link_down(lid, t) for lid in links):
-            return False
-        if any(faults.host_down(h, t) for h in hosts):
-            return False
-        return True
-
     def check_path_up(self, stats: PathStats, t: float | None = None) -> None:
         """Raise :class:`~repro.errors.LinkDownError` if the path is down."""
         faults = self.world.faults

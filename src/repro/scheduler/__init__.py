@@ -9,9 +9,8 @@ See DESIGN.md §11 for the scheduling model.  The public surface:
 * :class:`SchedulerLimits` / :class:`AdmissionController` — bounded
   queue, quotas, per-endpoint backpressure (``limits``).
 * :class:`BatchCoalescer` — small-file coalescing (``batching``).
-* :class:`ShardedFleetScheduler` / :func:`user_shard` /
-  :func:`scheduler_fingerprint` — the sharded control plane and its
-  equivalence gate (``sharding``, DESIGN.md §14).
+* :class:`ShardedFleetScheduler` / :func:`user_shard` — the sharded
+  control plane (``sharding``, DESIGN.md §14).
 """
 
 from repro.scheduler.batching import (
@@ -35,7 +34,6 @@ from repro.scheduler.queue import (
 )
 from repro.scheduler.sharding import (
     ShardedFleetScheduler,
-    scheduler_fingerprint,
     user_shard,
 )
 from repro.scheduler.workers import (
@@ -63,6 +61,5 @@ __all__ = [
     "TaskState",
     "Worker",
     "jain_index",
-    "scheduler_fingerprint",
     "user_shard",
 ]

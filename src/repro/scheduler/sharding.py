@@ -6,16 +6,17 @@ one lease table, one admission controller — a ceiling on the "millions
 of users" axis.  :class:`ShardedFleetScheduler` lifts it by hashing
 users across N shards, each a full :class:`FleetScheduler` (its own
 fair-share heap, lease-expiry heap, admission books), behind a thin
-router that owns the drain loop and deterministic work-stealing.
+router that adds deterministic work-stealing to the shared drain loop.
 
 Three design rules make the sharded plane trustworthy:
 
-* **N=1 is bit-for-bit the single scheduler.**  The router's drain loop
-  mirrors ``FleetScheduler.run_until_idle`` operation for operation;
-  with one shard every claim, requeue, batch flush, and clock jump
-  happens in exactly the same order, so the PR-5 fingerprint gate
-  (completion order, delivered bytes, crash/requeue/batch counts,
-  virtual clock) holds bitwise.  CI runs that gate standalone.
+* **N=1 is bit-for-bit the single scheduler.**  The router and
+  ``FleetScheduler.run_until_idle`` run the one
+  :func:`~repro.scheduler.workers.drain` loop, the router with a
+  work-stealing step that only runs at N>1; with one shard every claim,
+  requeue, batch flush, and clock jump happens in exactly the same
+  order, so the equivalence fingerprint (completion order, delivered
+  bytes, crash/requeue/batch counts, virtual clock) holds bitwise.
 
 * **Shared identity, sharded state.**  Task ids come from one counter,
   completions land in one list, workers live in one merged directory —
@@ -49,7 +50,9 @@ from repro.errors import SchedulerError
 from repro.scheduler.batching import CoalescedBatch
 from repro.scheduler.limits import ServiceTimeEwma
 from repro.scheduler.queue import ScheduledTask
-from repro.scheduler.workers import FleetScheduler, Lease, SchedulerConfig, Worker
+from repro.scheduler.workers import (
+    FleetScheduler, Lease, SchedulerConfig, Worker, drain,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.world import World
@@ -245,44 +248,15 @@ class ShardedFleetScheduler:
     def run_until_idle(self, max_ticks: int | None = None) -> int:
         """Drain every shard; identical to the single-scheduler loop at N=1.
 
-        One heartbeat sweep covers the whole fleet (same label, same
-        interval as the unsharded loop), every iteration flushes batches
-        and requeues lapsed leases on each shard in shard order, and the
-        tick claims across all shards at one virtual instant before
-        executing serially.
+        Both run the one :func:`~repro.scheduler.workers.drain` loop:
+        one heartbeat sweep covers the whole fleet, every iteration
+        flushes batches and requeues lapsed leases on each shard in
+        shard order, and the tick claims across all shards at one
+        virtual instant before executing serially.  With more than one
+        shard, workers left free by their home shard then steal.
         """
-        serviced = 0
-        ticks = 0
-        sweep = self.world.scheduler.every(
-            self.config.heartbeat_s, self._sweep_heartbeats,
-            label="scheduler.heartbeat-sweep")
-        try:
-            while True:
-                for shard in self.shards:
-                    shard._flush_batches()
-                    shard._requeue_lapsed()
-                if all(not len(s.queue) and not len(s.leases)
-                       for s in self.shards):
-                    break
-                ticks += 1
-                if max_ticks is not None and ticks > max_ticks:
-                    raise SchedulerError(
-                        f"drain did not converge within {max_ticks} ticks")
-                serviced += self._tick()
-                for shard in self.shards:
-                    shard._depth_g.set(
-                        len(shard.queue) + len(shard.coalescer),
-                        **shard._metric_shard)
-        finally:
-            sweep.cancel()
-        for shard in self.shards:
-            shard._fair_error_g.set(shard.queue.fair_share_error(),
-                                    **shard._metric_shard)
-        return serviced
-
-    def _sweep_heartbeats(self) -> None:
-        for shard in self.shards:
-            shard._sweep_heartbeats()
+        return drain(tuple(self.shards), max_ticks,
+                     self._steal if self.n_shards > 1 else None)
 
     def _pick_victim(self, thief_index: int) -> FleetScheduler | None:
         """The deepest foreign shard with queued work; ties break to the
@@ -298,66 +272,36 @@ class ShardedFleetScheduler:
                 best, best_depth = shard, depth
         return best
 
-    def _tick(self) -> int:
-        """One fleet claim round: local claims, then steals, then execution.
+    def _steal(self, free_by_shard: list[list[Worker]],
+               now: float) -> list[tuple[FleetScheduler, Worker, Lease]]:
+        """The steal step of a fleet claim round: the executable claims.
 
-        All claims (local and stolen) happen at the same virtual instant;
-        execution is serial in claim order, exactly like the single
-        scheduler.  A worker only reaches the steal phase when its home
-        shard had nothing runnable for it, so local dispatch always wins
-        the steal-vs-local tie by construction.
+        Stolen claims happen at the same virtual instant as the local
+        ones.  A worker only reaches this step when its home shard had
+        nothing runnable for it, so local dispatch always wins the
+        steal-vs-local tie by construction.
         """
-        world = self.world
-        now = world.now
-        claims: list[tuple[FleetScheduler, Worker, Lease]] = []
-        free_by_shard: list[list[Worker]] = []
-        for shard in self.shards:
-            shard_claims, free, alive = shard._claim_phase(now)
-            shard._workers_alive_g.set(alive, **shard._metric_shard)
-            claims.extend((shard, w, lease) for w, lease in shard_claims)
-            free_by_shard.append(free)
-
-        if self.n_shards > 1:
-            for thief_index, free in enumerate(free_by_shard):
-                for worker in free:
-                    victim = self._pick_victim(thief_index)
-                    if victim is None:
-                        break  # every foreign queue is empty
-                    lease = victim._claim_for(worker, now)
-                    if lease is None:
-                        continue  # victim's heads all inadmissible
-                    self._steals_c.inc(
-                        thief=str(thief_index), victim=victim.shard)
-                    world.emit(
-                        "scheduler.steal", "idle worker stole cross-shard",
-                        task=lease.task.task_id, worker=worker.worker_id,
-                        thief_shard=thief_index,
-                        victim_shard=int(victim.shard),
-                        shard=victim.shard,
-                        trace=lease.task.trace_id or None,
-                    )
-                    if not lease.abandoned:
-                        claims.append((victim, worker, lease))
-
-        executed = 0
-        for shard, worker, lease in claims:
-            shard._execute(worker, lease)
-            executed += 1
-        if not claims:
-            self._wait_for_next_event(now)
-        return executed
-
-    def _wait_for_next_event(self, now: float) -> None:
-        """No shard can run anything: jump the one shared clock to the
-        earliest wakeup across every shard."""
-        future: list[float] = []
-        for shard in self.shards:
-            future.extend(shard._next_event_candidates(now))
-        if not future:
-            raise SchedulerError(
-                "scheduler stalled: tasks queued but no worker can ever run them"
-            )
-        self.world.advance_to(min(future))
+        stolen: list[tuple[FleetScheduler, Worker, Lease]] = []
+        for thief_index, free in enumerate(free_by_shard):
+            for worker in free:
+                victim = self._pick_victim(thief_index)
+                if victim is None:
+                    break  # every foreign queue is empty
+                lease = victim._claim_for(worker, now)
+                if lease is None:
+                    continue  # victim's heads all inadmissible
+                self._steals_c.inc(thief=str(thief_index), victim=victim.shard)
+                self.world.emit(
+                    "scheduler.steal", "idle worker stole cross-shard",
+                    task=lease.task.task_id, worker=worker.worker_id,
+                    thief_shard=thief_index,
+                    victim_shard=int(victim.shard),
+                    shard=victim.shard,
+                    trace=lease.task.trace_id or None,
+                )
+                if not lease.abandoned:
+                    stolen.append((victim, worker, lease))
+        return stolen
 
     # -- resharding --------------------------------------------------------
 
@@ -424,35 +368,3 @@ class ShardedFleetScheduler:
             ],
         }
 
-
-def scheduler_fingerprint(world: "World", scheduler) -> dict[str, Any]:
-    """The PR-5 equivalence fingerprint, scheduler-shape agnostic.
-
-    Works for both :class:`FleetScheduler` and
-    :class:`ShardedFleetScheduler`: completion order by task id,
-    delivered bytes per user, every lifecycle count summed across all
-    label series, and the virtual clock.  Two runs with equal
-    fingerprints dispatched the same work in the same order with the
-    same failures — the bit-for-bit N=1 gate compares nothing else.
-    """
-    metrics = world.metrics
-
-    def total(name: str) -> float:
-        metric = metrics.get(name)
-        return metric.total() if metric is not None else 0.0
-
-    completed = scheduler.completed_tasks
-    return {
-        "completion_order": [t.task_id for t in completed],
-        "delivered_bytes": {t.task_id: t.delivered_bytes for t in completed},
-        "bytes_by_user": scheduler.queue.delivered_bytes(),
-        "submitted": total("scheduler_submitted_total"),
-        "completed": total("scheduler_completed_total"),
-        "failed": total("scheduler_task_failures_total"),
-        "requeued": total("scheduler_requeued_total"),
-        "expired": total("scheduler_lease_expirations_total"),
-        "crashes": total("scheduler_worker_crashes_total"),
-        "batches": total("scheduler_batches_coalesced_total"),
-        "batched_files": total("scheduler_batched_files_total"),
-        "virtual_clock": world.now,
-    }

@@ -50,7 +50,7 @@ from repro.scheduler.limits import (
 from repro.scheduler.queue import FairShareQueue, ScheduledTask, TaskState
 
 __all__ = [
-    "SchedulerConfig", "Lease", "LeaseTable", "Worker", "FleetScheduler",
+    "SchedulerConfig", "Lease", "LeaseTable", "Worker", "FleetScheduler", "drain",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -269,39 +269,11 @@ class FleetScheduler:
     def run_until_idle(self, max_ticks: int | None = None) -> int:
         """Dispatch until queue and leases are empty; returns tasks serviced.
 
-        This *is* the fleet scheduler's event loop, on virtual time, and
-        it is event-driven: every claim round is preceded by a wakeup
-        event — task-available (submit/flush/requeue), worker-free
-        (completion or lapse), or lease-expiry/host-recovery (the clock
-        jumps straight to the earliest one via :meth:`_wait_for_next_event`
-        when nothing can run; no fixed-interval polling ever happens).
-        While the drain runs, a single repeating sweep renews every live
-        lease — one scheduler event per heartbeat interval for the whole
-        pool, not one per in-flight task.
+        This *is* the fleet scheduler's event loop, on virtual time: the
+        one-shard case of :func:`drain` (which see), with no
+        work-stealing step.
         """
-        serviced = 0
-        ticks = 0
-        sweep = self.world.scheduler.every(
-            self.config.heartbeat_s, self._sweep_heartbeats,
-            label="scheduler.heartbeat-sweep")
-        try:
-            while True:
-                self._flush_batches()
-                self._requeue_lapsed()
-                if not len(self.queue) and not len(self.leases):
-                    break
-                ticks += 1
-                if max_ticks is not None and ticks > max_ticks:
-                    raise SchedulerError(
-                        f"drain did not converge within {max_ticks} ticks")
-                serviced += self._tick()
-                self._depth_g.set(len(self.queue) + len(self.coalescer),
-                                  **self._metric_shard)
-        finally:
-            sweep.cancel()
-        self._fair_error_g.set(self.queue.fair_share_error(),
-                               **self._metric_shard)
-        return serviced
+        return drain((self,), max_ticks)
 
     def _flush_batches(self) -> None:
         if not len(self.coalescer):
@@ -404,20 +376,6 @@ class FleetScheduler:
             elif not lease.abandoned:
                 claims.append((worker, lease))
         return claims, free, alive
-
-    def _tick(self) -> int:
-        """One claim round: simultaneous claims, serial execution."""
-        now = self.world.now
-        claims, _free, alive = self._claim_phase(now)
-        self._workers_alive_g.set(alive, **self._metric_shard)
-
-        executed = 0
-        for worker, lease in claims:
-            self._execute(worker, lease)
-            executed += 1
-        if executed == 0 and not claims:
-            self._wait_for_next_event()
-        return executed
 
     def _execute(self, worker: Worker, lease: Lease) -> None:
         world = self.world
@@ -529,11 +487,7 @@ class FleetScheduler:
                 task.on_requeue(task)
 
     def _next_event_candidates(self, now: float) -> list[float]:
-        """Future wakeup times: earliest lease expiry + host recoveries.
-
-        Split out so a sharded router can merge candidates across every
-        shard before advancing the one shared clock.
-        """
+        """Future wakeup times: earliest lease expiry + host recoveries."""
         world = self.world
         candidates: list[float] = []
         next_expiry = self.leases.next_expiry()
@@ -545,16 +499,6 @@ class FleetScheduler:
                 if up > now:
                     candidates.append(up)
         return [t for t in candidates if t > now and math.isfinite(t)]
-
-    def _wait_for_next_event(self) -> None:
-        """Nothing can run now: jump to the next expiry or host recovery."""
-        world = self.world
-        future = self._next_event_candidates(world.now)
-        if not future:
-            raise SchedulerError(
-                "scheduler stalled: tasks queued but no worker can ever run them"
-            )
-        world.advance_to(min(future))
 
     # -- introspection -----------------------------------------------------
 
@@ -607,3 +551,88 @@ class FleetScheduler:
                     key=lambda le: (le.expires_at, le.lease_id))
             ],
         }
+
+
+#: a work-stealing step: given each shard's still-free workers and the
+#: claim instant, make cross-shard claims and return the executable ones
+StealStep = Callable[
+    [list[list[Worker]], float], list[tuple[FleetScheduler, Worker, Lease]]]
+
+
+def drain(shards: tuple[FleetScheduler, ...], max_ticks: int | None = None,
+          steal: StealStep | None = None) -> int:
+    """Dispatch until every shard's queue and leases are empty.
+
+    The one drain loop of the fleet scheduler, on virtual time, for a
+    lone :class:`FleetScheduler` (``(scheduler,)``, no ``steal``) and
+    for the shards of a
+    :class:`~repro.scheduler.sharding.ShardedFleetScheduler` alike, so
+    one shard is the single scheduler operation for operation.  Returns
+    tasks serviced.
+
+    It is event-driven: every claim round is preceded by a wakeup event
+    — task-available (submit/flush/requeue), worker-free (completion or
+    lapse), or lease-expiry/host-recovery.  When no claim is executable
+    the one shared clock jumps straight to the earliest such wakeup
+    across every shard; no fixed-interval polling ever happens.  While
+    the drain runs, a single repeating sweep renews every live lease —
+    one scheduler event per heartbeat interval for the whole fleet, not
+    one per in-flight task.
+
+    Each round flushes batches and requeues lapsed leases shard by
+    shard, then every free, live worker claims from its own shard at
+    one virtual instant; ``steal`` then lets the workers left free
+    claim from foreign shards.  Claims execute serially in claim order.
+    """
+    world = shards[0].world
+
+    def sweep_heartbeats() -> None:
+        for shard in shards:
+            shard._sweep_heartbeats()
+
+    serviced = 0
+    ticks = 0
+    sweep = world.scheduler.every(
+        shards[0].config.heartbeat_s, sweep_heartbeats,
+        label="scheduler.heartbeat-sweep")
+    try:
+        while True:
+            for shard in shards:
+                shard._flush_batches()
+                shard._requeue_lapsed()
+            if all(not len(s.queue) and not len(s.leases) for s in shards):
+                break
+            ticks += 1
+            if max_ticks is not None and ticks > max_ticks:
+                raise SchedulerError(
+                    f"drain did not converge within {max_ticks} ticks")
+            now = world.now
+            claims: list[tuple[FleetScheduler, Worker, Lease]] = []
+            free_by_shard: list[list[Worker]] = []
+            for shard in shards:
+                shard_claims, free, alive = shard._claim_phase(now)
+                shard._workers_alive_g.set(alive, **shard._metric_shard)
+                claims.extend((shard, w, lease) for w, lease in shard_claims)
+                free_by_shard.append(free)
+            if steal is not None:
+                claims.extend(steal(free_by_shard, now))
+            for shard, worker, lease in claims:
+                shard._execute(worker, lease)
+            serviced += len(claims)
+            if not claims:
+                future = [t for shard in shards
+                          for t in shard._next_event_candidates(now)]
+                if not future:
+                    raise SchedulerError(
+                        "scheduler stalled: tasks queued but no worker "
+                        "can ever run them")
+                world.advance_to(min(future))
+            for shard in shards:
+                shard._depth_g.set(len(shard.queue) + len(shard.coalescer),
+                                   **shard._metric_shard)
+    finally:
+        sweep.cancel()
+    for shard in shards:
+        shard._fair_error_g.set(shard.queue.fair_share_error(),
+                                **shard._metric_shard)
+    return serviced

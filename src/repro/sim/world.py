@@ -20,7 +20,6 @@ from repro.sim.events import Scheduler
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.random import RngFactory
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import SlowOpLog
 from repro.telemetry.trace import Tracer
 from repro.util.logging import Event, EventLog
 
@@ -39,7 +38,6 @@ class World:
         start_time: float = 0.0,
         event_capacity: int | None = None,
         span_capacity: int | None = None,
-        slow_op_threshold_s: float = 1.0,
     ) -> None:
         self.clock = Clock(start_time)
         self.scheduler = Scheduler(self.clock)
@@ -47,7 +45,6 @@ class World:
         self.rng = RngFactory(seed)
         self.log = EventLog(capacity=event_capacity)
         self.metrics = MetricsRegistry()
-        self.slow_ops = SlowOpLog(threshold_s=slow_op_threshold_s)
         self.tracer = Tracer(self, span_capacity=span_capacity)
         # Imported here to avoid a circular import: repro.net needs World
         # type hints only, but World owns the concrete Network.

@@ -1,22 +1,23 @@
-"""Telemetry: tracing, metrics, profiling, and fleet observability.
+"""Telemetry: tracing, metrics, and fleet observability.
 
-Five pillars (see DESIGN.md "Observability"):
+Four pillars (see DESIGN.md "Observability"):
 
 * :mod:`repro.telemetry.trace` — trace/span propagation over the
   virtual clock, with causal-tree reconstruction per transfer;
 * :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms with Prometheus-style text exposition and optional
   trace-id exemplars per bucket;
-* :mod:`repro.telemetry.profiling` — the per-world slow-operation log;
 * :mod:`repro.telemetry.flightrecorder` — the bounded per-job black
   box: causal records assembled from scheduler/recovery/transfer
   events, keyed by trace id;
 * :mod:`repro.telemetry.slo` — declarative objectives with
   multi-window burn-rate alerting over virtual time.
 
-Every :class:`~repro.sim.world.World` owns the first three as
-``world.tracer``, ``world.metrics``, and ``world.slow_ops``; the last
-two attach on demand via ``world.enable_observability()``.
+Every :class:`~repro.sim.world.World` owns the first two as
+``world.tracer`` and ``world.metrics``; the last two attach on demand
+via ``world.enable_observability()``.  A span's virtual duration is
+``span.duration_s``, so the slowest operations are a query over
+``world.tracer.spans``.
 """
 
 from repro.telemetry.flightrecorder import FlightEvent, FlightRecord, FlightRecorder
@@ -29,7 +30,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     Sample,
 )
-from repro.telemetry.profiling import SlowOp, SlowOpLog
 from repro.telemetry.slo import (
     BurnWindow,
     ServiceObjective,
@@ -53,8 +53,6 @@ __all__ = [
     "SLOEngine",
     "Sample",
     "ServiceObjective",
-    "SlowOp",
-    "SlowOpLog",
     "Span",
     "TimelineNode",
     "Trace",

@@ -284,16 +284,11 @@ class _SpanHandle:
             span.status = "error"
             span.error = f"{type(exc).__name__}: {exc}"
         tracer = self._tracer
-        end = tracer._world.now
-        span.end_time = end
+        span.end_time = tracer._world.now
         tracer._stack.pop()
         cap = tracer._capacity
         if cap is not None and len(tracer._spans) > 2 * cap:
             tracer._evict()
-        slow = getattr(tracer._world, "slow_ops", None)
-        if slow is not None and end - span.start_time >= slow.threshold_s:
-            slow.record(span.name, span.start_time, end - span.start_time,
-                        span_id=span.context.span_id)
         self._span = None  # drop the reference before pooling the handle
         if len(tracer._handle_pool) < 64:
             tracer._handle_pool.append(self)

@@ -79,8 +79,8 @@ class EventLog:
 
     ``capacity`` bounds memory for fleet-scale runs: when set, the log
     keeps only the newest ``capacity`` events (ring-buffer eviction) and
-    counts what it dropped in :attr:`dropped_events`.  The default is
-    unbounded, as before.
+    counts what it dropped in :attr:`dropped_events`.  It is fixed at
+    construction; the default is unbounded.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -92,30 +92,8 @@ class EventLog:
         self.dropped_events = 0
         self.subscriber_errors = 0
 
-    # -- capacity -----------------------------------------------------------
-
-    @property
-    def capacity(self) -> int | None:
-        """Maximum retained events (None = unbounded)."""
-        return self._capacity
-
-    def set_capacity(self, capacity: int | None) -> None:
-        """Change the retention bound, evicting oldest events if needed."""
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self._capacity = capacity
-        self._evict()
-
-    def _evict(self) -> None:
-        if self._capacity is None:
-            return
-        while len(self._events) > self._capacity:
-            self._events.popleft()
-            self.dropped_events += 1
-
     def _append(self, event: Event) -> None:
-        # inline single-step eviction: appends outnumber capacity changes
-        # by orders of magnitude, and at steady state exactly one event
+        # the capacity is fixed, so at steady state exactly one event
         # falls off per append
         self._events.append(event)
         cap = self._capacity

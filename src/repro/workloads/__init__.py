@@ -2,20 +2,14 @@
 
 from repro.workloads.datasets import (
     FileSpec,
-    single_huge_file,
     lots_of_small_files,
-    climate_mix,
-    hep_mix,
     materialize,
 )
 from repro.workloads.fleet import FleetModel, FleetDay
 
 __all__ = [
     "FileSpec",
-    "single_huge_file",
     "lots_of_small_files",
-    "climate_mix",
-    "hep_mix",
     "materialize",
     "FleetModel",
     "FleetDay",

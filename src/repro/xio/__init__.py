@@ -14,8 +14,6 @@ from repro.xio.drivers import (
     TcpDriver,
     UdtDriver,
     GsiProtectDriver,
-    CompressionDriver,
-    DebugDriver,
     Protection,
 )
 
@@ -26,7 +24,5 @@ __all__ = [
     "TcpDriver",
     "UdtDriver",
     "GsiProtectDriver",
-    "CompressionDriver",
-    "DebugDriver",
     "Protection",
 ]

@@ -5,10 +5,9 @@ Two kinds, as in Globus XIO:
 * **transport drivers** terminate the stack and turn a path + stream
   count into raw throughput (TCP via the model in :mod:`repro.net.tcp`,
   UDT via :mod:`repro.net.udt`);
-* **transform drivers** sit above and modify throughput and/or payload:
-  GSI protection caps throughput at cipher speed (the paper's "order of
-  magnitude slowdown ... on high-speed links"), compression multiplies
-  effective payload rate, debug counts bytes.
+* **transform drivers** sit above and modify throughput: GSI protection
+  caps throughput at cipher speed (the paper's "order of magnitude
+  slowdown ... on high-speed links").
 """
 
 from __future__ import annotations
@@ -132,30 +131,3 @@ class GsiProtectDriver(Driver):
         """Extra setup round trips this driver adds."""
         return 0.0 if self.protection is Protection.CLEAR else 2.0
 
-
-@dataclass
-class CompressionDriver(Driver):
-    """Payload compression: effective rate is wire rate x ratio, CPU capped."""
-
-    ratio: float = 2.0  # compressed size = size / ratio
-    cpu_cap_bps: float = gbps(3.0)
-    name: str = "compress"
-
-    def rate_through(self, below_bps: float) -> float:
-        """Throughput above this driver given the rate below it."""
-        if self.ratio <= 0:
-            raise ValueError("compression ratio must be positive")
-        return min(below_bps * self.ratio, self.cpu_cap_bps)
-
-
-@dataclass
-class DebugDriver(Driver):
-    """Pass-through that counts how many rate queries flowed through it."""
-
-    queries: int = 0
-    name: str = "debug"
-
-    def rate_through(self, below_bps: float) -> float:
-        """Throughput above this driver given the rate below it."""
-        self.queries += 1
-        return below_bps

@@ -10,7 +10,6 @@ from repro.net.tcp import (
     slow_start_penalty_s,
     tcp_aggregate_rate,
     tcp_stream_rate,
-    tcp_transfer_time,
 )
 from repro.net.topology import PathStats
 from repro.util.units import GB, KB, MB, gbps
@@ -85,27 +84,6 @@ def test_slow_start_penalty_zero_for_tiny_rates():
     model = TCPModel()
     # steady window below the initial cwnd: no ramp needed
     assert slow_start_penalty_s(make_path(rtt=0.1), 1e5, model) == 0.0
-
-
-def test_transfer_time_components():
-    path = make_path(rtt=0.1, bw=gbps(1))
-    model = TCPModel.tuned(16 * MB)
-    t = tcp_transfer_time(1 * GB, path, streams=4, model=model)
-    payload = 1 * GB * 8 / tcp_aggregate_rate(path, 4, model)
-    assert t > payload  # handshake + ramp on top
-    t_no_hs = tcp_transfer_time(1 * GB, path, streams=4, model=model, include_handshake=False)
-    assert t_no_hs < t
-
-
-def test_transfer_time_zero_bytes():
-    path = make_path()
-    t = tcp_transfer_time(0, path, model=TCPModel())
-    assert t == pytest.approx(TCPModel().handshake_rtts * path.rtt_s)
-
-
-def test_transfer_time_negative_bytes_rejected():
-    with pytest.raises(ValueError):
-        tcp_transfer_time(-1, make_path())
 
 
 def test_untuned_vs_tuned_headline():

@@ -124,13 +124,12 @@ def test_path_up_and_fault_check(world):
     net.add_host("b")
     link = net.add_link("a", "b", gbps(1), 0.01)
     p = net.path("a", "b")
-    assert net.path_up(p)
+    net.check_path_up(p)
     world.faults.cut_link(link.link_id, at=0.0, duration=10.0)
-    assert not net.path_up(p)
     with pytest.raises(LinkDownError):
         net.check_path_up(p)
     world.advance(10.0)
-    assert net.path_up(p)
+    net.check_path_up(p)
 
 
 def test_host_fault_downs_path(world):
@@ -140,7 +139,8 @@ def test_host_fault_downs_path(world):
     net.add_link("a", "b", gbps(1), 0.01)
     p = net.path("a", "b")
     world.faults.crash_host("b", at=0.0, duration=5.0)
-    assert not net.path_up(p)
+    with pytest.raises(LinkDownError):
+        net.check_path_up(p)
 
 
 def test_ephemeral_ports_unique(world):

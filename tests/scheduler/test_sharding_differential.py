@@ -22,7 +22,6 @@ from repro.scheduler import (
     ScheduledTask,
     SchedulerConfig,
     ShardedFleetScheduler,
-    scheduler_fingerprint,
 )
 from repro.sim.faults import ChaosConfig
 from repro.sim.world import World
@@ -35,6 +34,39 @@ _CONFIG = dict(
     workers=len(WORKER_HOSTS), worker_hosts=WORKER_HOSTS,
     lease_s=40.0, heartbeat_s=8.0, max_task_attempts=100,
 )
+
+
+def scheduler_fingerprint(world: World, scheduler) -> dict:
+    """The equivalence fingerprint, scheduler-shape agnostic.
+
+    Works for both :class:`FleetScheduler` and
+    :class:`ShardedFleetScheduler`: completion order by task id,
+    delivered bytes per user, every lifecycle count summed across all
+    label series, and the virtual clock.  Two runs with equal
+    fingerprints dispatched the same work in the same order with the
+    same failures — the bit-for-bit N=1 gate compares nothing else.
+    """
+    metrics = world.metrics
+
+    def total(name: str) -> float:
+        metric = metrics.get(name)
+        return metric.total() if metric is not None else 0.0
+
+    completed = scheduler.completed_tasks
+    return {
+        "completion_order": [t.task_id for t in completed],
+        "delivered_bytes": {t.task_id: t.delivered_bytes for t in completed},
+        "bytes_by_user": scheduler.queue.delivered_bytes(),
+        "submitted": total("scheduler_submitted_total"),
+        "completed": total("scheduler_completed_total"),
+        "failed": total("scheduler_task_failures_total"),
+        "requeued": total("scheduler_requeued_total"),
+        "expired": total("scheduler_lease_expirations_total"),
+        "crashes": total("scheduler_worker_crashes_total"),
+        "batches": total("scheduler_batches_coalesced_total"),
+        "batched_files": total("scheduler_batched_files_total"),
+        "virtual_clock": world.now,
+    }
 
 
 def _drive(make_sched, seed=7, chaos=True):

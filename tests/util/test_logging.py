@@ -127,27 +127,13 @@ def test_default_capacity_is_unbounded():
         log.emit(float(i), "tick", "m")
     assert len(log) == 100
     assert log.dropped_events == 0
-    assert log.capacity is None
-
-
-def test_set_capacity_shrinks_in_place():
-    log = EventLog()
-    for i in range(10):
-        log.emit(float(i), "tick", f"n{i}")
-    log.set_capacity(4)
-    assert len(log) == 4
-    assert log.dropped_events == 6
-    assert [ev.message for ev in log] == ["n6", "n7", "n8", "n9"]
-    log.set_capacity(None)  # back to unbounded
-    log.emit(99.0, "tick", "more")
-    assert len(log) == 5
 
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         EventLog(capacity=0)
     with pytest.raises(ValueError):
-        EventLog().set_capacity(-1)
+        EventLog(capacity=-1)
 
 
 # -- JSON-lines export --------------------------------------------------------

@@ -5,21 +5,11 @@ from repro.storage.data import LiteralData, SyntheticData
 from repro.storage.posix import PosixStorage
 from repro.workloads.datasets import (
     LITERAL_THRESHOLD,
-    climate_mix,
-    hep_mix,
+    FileSpec,
     lots_of_small_files,
     materialize,
-    single_huge_file,
-    total_bytes,
 )
-from repro.util.units import GB, KB, MB
-
-
-def test_single_huge_file():
-    specs = single_huge_file(size=100 * GB)
-    assert len(specs) == 1
-    assert specs[0].size == 100 * GB
-    assert isinstance(specs[0].make_data(), SyntheticData)
+from repro.util.units import KB
 
 
 def test_lots_of_small_files():
@@ -38,36 +28,14 @@ def test_small_files_have_distinct_content():
 
 def test_literal_threshold():
     small = lots_of_small_files(count=1, size=LITERAL_THRESHOLD)[0]
-    big = single_huge_file(size=LITERAL_THRESHOLD + 1)[0]
+    big = FileSpec(path="/data/huge.dat", size=LITERAL_THRESHOLD + 1, seed=1)
     assert isinstance(small.make_data(), LiteralData)
     assert isinstance(big.make_data(), SyntheticData)
 
 
-def test_climate_mix_shape():
-    specs = climate_mix(count=200)
-    sizes = [s.size for s in specs]
-    assert len(specs) == 200
-    assert min(sizes) >= 1 * MB
-    assert max(sizes) <= 8 * GB
-    mean = sum(sizes) / len(sizes)
-    assert 50 * MB < mean < 2 * GB
-
-
-def test_hep_mix_shape():
-    specs = hep_mix(count=100)
-    sizes = [s.size for s in specs]
-    mean = sum(sizes) / len(sizes)
-    assert 1 * GB < mean < 3 * GB
-
-
 def test_generators_deterministic():
-    assert climate_mix(count=10, seed=5) == climate_mix(count=10, seed=5)
-    assert climate_mix(count=10, seed=5) != climate_mix(count=10, seed=6)
-
-
-def test_total_bytes():
-    specs = lots_of_small_files(count=10, size=KB)
-    assert total_bytes(specs) == 10 * KB
+    assert lots_of_small_files(count=10, seed=5) == lots_of_small_files(count=10, seed=5)
+    assert lots_of_small_files(count=10, seed=5) != lots_of_small_files(count=10, seed=6)
 
 
 def test_materialize():

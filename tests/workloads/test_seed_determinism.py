@@ -10,26 +10,12 @@ import hashlib
 import json
 
 from repro.util.units import KB
-from repro.workloads.datasets import climate_mix, hep_mix, lots_of_small_files
+from repro.workloads.datasets import lots_of_small_files
 from repro.workloads.fleet import FleetModel
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _sizes_sha(specs) -> str:
-    return _sha(json.dumps([s.size for s in specs]).encode())
-
-
-def test_climate_mix_sizes_are_pinned():
-    assert _sizes_sha(climate_mix(seed=3)) == (
-        "04145beb47e0c6c5224e9a35a4024e36774da4b969c31baf40f394e5722f04f5")
-
-
-def test_hep_mix_sizes_are_pinned():
-    assert _sizes_sha(hep_mix(seed=4)) == (
-        "a333b6bd6543f56b579eda10e6853270132f5c2781230949e552635f3a69ad73")
 
 
 def test_small_file_bytes_are_pinned():

@@ -5,8 +5,6 @@ import pytest
 from repro.net.tcp import TCPModel
 from repro.net.topology import PathStats
 from repro.xio.drivers import (
-    CompressionDriver,
-    DebugDriver,
     GsiProtectDriver,
     Protection,
     TcpDriver,
@@ -53,21 +51,3 @@ def test_gsi_privacy_order_of_magnitude_on_fast_links():
 
 def test_gsi_adds_handshake():
     assert GsiProtectDriver(protection=Protection.PRIVATE).setup_rtts() == 2.0
-
-
-def test_compression_multiplies_until_cpu_cap():
-    drv = CompressionDriver(ratio=2.0, cpu_cap_bps=gbps(3))
-    assert drv.rate_through(gbps(1)) == gbps(2)
-    assert drv.rate_through(gbps(5)) == gbps(3)  # CPU bound
-
-
-def test_compression_invalid_ratio():
-    with pytest.raises(ValueError):
-        CompressionDriver(ratio=0.0).rate_through(gbps(1))
-
-
-def test_debug_driver_counts():
-    drv = DebugDriver()
-    drv.rate_through(1.0)
-    drv.rate_through(2.0)
-    assert drv.queries == 2
